@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
 from math import ceil, isqrt
 
 from .cyclotomic import Cyc24, ONE as CONE, exp_pi_i, zeta_pow
@@ -184,10 +185,38 @@ def _n_window(spec: LerchSpec, cap: int):
     return N
 
 
+def _root_order(c: Cyc24):
+    """The least r <= 24 with c^r = 1, or None if c is no such root of unity."""
+    pw = c
+    for r in range(1, 25):
+        if pw == CONE:
+            return r
+        pw = pw * c
+    return None
+
+
+def _geometric_tail(coef: Cyc24, ratio: Cyc24, order, count):
+    """coef*ratio^k for k < min(count, order), or for every k < count where
+    ratio has no finite order <= 24 (order None)."""
+    out = [coef]
+    for _ in range(1, count if order is None else min(count, order)):
+        out.append(out[-1] * ratio)
+    return out
+
+
 def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
-    """Exact expansion below grid cap.  residue=(m, j) keeps only n = j mod m."""
+    """Exact expansion below grid cap.  residue=(m, j) keeps only n = j mod m.
+
+    Each term n expands 1/(1 - c q^p) as a geometric tail.  When c^r = 1
+    for some r <= 24 (every c of the catalog), the coefficients of a tail
+    repeat with period r, so only its first r are multiplied out and the
+    rest reuse them cyclically; any other c keeps the multiply chain.
+    """
     base = spec._base()
     N = _n_window(spec, cap)
+    c = spec.c_const
+    order = _root_order(c)
+    cinv = None
     terms = []
     for n in range(-N, N + 1):
         if residue is not None and n % residue[0] != residue[1] % residue[0]:
@@ -198,27 +227,20 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
         if lowest >= cap:
             continue
         coef = base**n
-        c = spec.c_const
         if p > 0:
-            ck = coef
-            e = e0
-            while e < cap:
-                terms.append((e, ck))
-                ck = ck * c
-                e += p
+            exps = range(e0, cap, p)
+            terms += zip(exps, cycle(_geometric_tail(coef, c, order, len(exps))))
         elif p == 0:
-            if c == CONE:
+            if order == 1:
                 raise PoleError("term n=%d has denominator 1 - q^0" % n)
             terms.append((e0, coef * (CONE - c).inverse()))
         else:
             # 1/(1 - c q^p) = -sum_{k>=1} c^(-k) q^(-k p)
-            cinv = c.inverse()
-            ck = coef * cinv
-            e = e0 - p
-            while e < cap:
-                terms.append((e, -ck))
-                ck = ck * cinv
-                e -= p
+            if cinv is None:
+                cinv = c.inverse()
+            exps = range(e0 - p, cap, -p)
+            tail = _geometric_tail(-coef * cinv, cinv, order, len(exps))
+            terms += zip(exps, cycle(tail))
     return QSeries.from_terms(terms, cap)
 
 

@@ -12,12 +12,30 @@ live entirely in component 0, so multiplication usually costs one integer
 convolution.  Dense convolutions go through Kronecker substitution (pack the
 coefficient array into one big integer, multiply, unpack), which turns the
 schoolbook O(N^2) bound into a couple of big-integer products.
+
+The operations work on these component arrays directly:
+
+- `_conv` factors both supports onto their common lattice o + g*Z before
+  convolving.  Series in whole powers of q, q^2 or q^3 sit on a stride of
+  24, 48 or 72 grid units, so the packed arrays shrink by that factor.
+- `eq_to` compares each component's window as an integer array,
+  cross-multiplying by the denominators where they differ, and builds Cyc24
+  values only for the witness at the first differing grid point.
+- `scale` and `mul_binomial` apply each rational part of a constant as one
+  integer multiplier; a 24th root of unity is one or two parts +-z^j, each
+  of which only permutes components and flips signs through `_REDUCE`.
+
+`lerch.lerch_expand` feeds `from_terms` with geometric tails whose
+coefficients it multiplies out only once per period when the ratio is a
+root of unity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm, ceil
+from operator import add, sub
 
 try:
     from gmpy2 import mpz as _mpz
@@ -79,16 +97,13 @@ def _kron_conv(xs, ys, out_len):
     return [2 * (a + b) - c for a, b, c in zip(d1, d2, d3)]
 
 
-def _conv(xs, ys, out_len):
-    """First out_len coefficients of the Cauchy product of integer arrays."""
-    if out_len <= 0:
-        return []
+def _conv_lattice(xs, ys, out_len):
+    """First out_len coefficients of the Cauchy product: schoolbook over the
+    nonzero entries when one side is sparse, Kronecker substitution if not."""
     xs = xs[:out_len]
     ys = ys[:out_len]
-    nzx = [i for i, v in enumerate(xs) if v]
-    nzy = [i for i, v in enumerate(ys) if v]
-    if not nzx or not nzy:
-        return [0] * out_len
+    nzx = list(compress(range(len(xs)), xs))
+    nzy = list(compress(range(len(ys)), ys))
     if min(len(nzx), len(nzy)) <= _SPARSE_CUTOFF:
         if len(nzy) < len(nzx):
             xs, ys = ys, xs
@@ -103,6 +118,30 @@ def _conv(xs, ys, out_len):
                 out[i + j] += xi * ys[j]
         return out
     return _kron_conv(xs, ys, out_len)
+
+
+def _conv(xs, ys, out_len):
+    """First out_len coefficients of the Cauchy product of integer arrays.
+
+    The supports are factored onto their common lattice first: with ox, oy
+    the first nonzero indices and g the gcd of every support offset from
+    them, only xs[ox::g] and ys[oy::g] are convolved, and the result is
+    spread back onto ox + oy + g*Z.  Products of series in q^(1/24) that
+    live on q^1, q^2 or q^3 thus pack 24, 48 or 72 times fewer slots.
+    """
+    out = [0] * max(out_len, 0)
+    nzx = list(compress(range(min(len(xs), out_len)), xs))
+    nzy = list(compress(range(min(len(ys), out_len)), ys))
+    if not nzx or not nzy:
+        return out
+    ox, oy = nzx[0], nzy[0]
+    base = ox + oy
+    if base >= out_len:
+        return out
+    g = gcd(*map(ox.__rsub__, nzx), *map(oy.__rsub__, nzy)) or out_len
+    m = (out_len - base - 1) // g + 1
+    out[base::g] = _conv_lattice(xs[ox:out_len:g], ys[oy:out_len:g], m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +165,41 @@ def _norm_comp(den, nums):
     return (den, nums)
 
 
-def _acc_add(acc, k, den, nums, sign):
+def _acc_add(acc, k, den, nums, mult):
+    """acc[k] += mult * nums / den, where mult is a nonzero integer."""
     if k not in acc:
-        acc[k] = [den, [sign * v for v in nums]]
+        acc[k] = [den, nums if mult == 1 else list(map(mult.__mul__, nums))]
         return
     d0, n0 = acc[k]
-    if d0 == den:
-        if sign > 0:
-            acc[k][1] = [a + b for a, b in zip(n0, nums)]
-        else:
-            acc[k][1] = [a - b for a, b in zip(n0, nums)]
-    else:
+    if d0 != den:
         d = lcm(d0, den)
-        m0 = d // d0
-        m1 = sign * (d // den)
-        acc[k] = [d, [a * m0 + b * m1 for a, b in zip(n0, nums)]]
+        if d != d0:
+            n0 = list(map((d // d0).__mul__, n0))
+        mult *= d // den
+        d0 = d
+    if mult == 1:
+        acc[k] = [d0, list(map(add, n0, nums))]
+    elif mult == -1:
+        acc[k] = [d0, list(map(sub, n0, nums))]
+    else:
+        acc[k] = [d0, list(map(add, n0, map(mult.__mul__, nums)))]
+
+
+def _place(nums, off, n):
+    """nums moved off >= 0 slots right inside a zero window of length n."""
+    if off >= n:
+        return [0] * n
+    out = [0] * off + nums[: n - off]
+    if len(out) < n:
+        out += [0] * (n - len(out))
+    return out
+
+
+def _first_diff(xs, ys):
+    """Index of the first entry where two equal-length lists differ, or None."""
+    if xs == ys:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
 
 
 class QSeries:
@@ -256,6 +315,11 @@ class QSeries:
         """Coefficient-exact comparison through q^order (order in q-units).
 
         Returns (True, None) or (False, (grid_e, self_coeff, other_coeff)).
+        Each component's window [low, 24*order] is compared as an integer
+        array; where the two denominators differ both sides are
+        cross-multiplied, because a component is gcd-normalised over its
+        whole array, not over the window.  Cyc24 values are built only for
+        the witness at the first differing grid point.
         """
         top = int(Fraction(order) * 24)
         if self.cap <= top or other.cap <= top:
@@ -264,32 +328,50 @@ class QSeries:
                 % (order, top, self.cap, other.cap)
             )
         lo = min(self.low, other.low)
-        for e in range(lo, top + 1):
-            a = self.coeff(e)
-            b = other.coeff(e)
-            if a != b:
-                return False, (e, a, b)
-        return True, None
+        n = top + 1 - lo
+        first = n
+        for k in self.comps.keys() | other.comps.keys():
+            da, xs = self._window(k, lo, n)
+            db, ys = other._window(k, lo, n)
+            if da and db and da != db:
+                g = gcd(da, db)
+                xs = list(map((db // g).__mul__, xs))
+                ys = list(map((da // g).__mul__, ys))
+            i = _first_diff(xs, ys)
+            if i is not None and i < first:
+                first = i
+        if first >= n:
+            return True, None
+        e = lo + first
+        return False, (e, self.coeff(e), other.coeff(e))
+
+    def _window(self, k, lo, n):
+        """(den, numerators at grid lo .. lo+n-1) of component k, zero
+        padded; den is 0 where the component is absent."""
+        comp = self.comps.get(k)
+        if comp is None:
+            return 0, [0] * max(n, 0)
+        d, nums = comp
+        return d, _place(nums, self.low - lo, max(n, 0))
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
+    def _combine(self, other, sign):
+        """self + sign*other for sign = +-1."""
         cap = min(self.cap, other.cap)
         low = min(self.low, other.low, cap)
         n = cap - low
         acc = {}
-        for src in (self, other):
+        for src, mult in ((self, 1), (other, sign)):
             off = src.low - low
             for k, (d, nums) in src.comps.items():
-                chunk = nums[: max(0, cap - src.low)]
-                if not any(chunk):
-                    continue
-                padded = [0] * off + chunk
-                padded += [0] * (n - len(padded))
-                _acc_add(acc, k, d, padded, 1)
+                _acc_add(acc, k, d, _place(nums, off, n), mult)
         return QSeries(low, cap, {k: (dv[0], dv[1]) for k, dv in acc.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __neg__(self):
         return QSeries(
@@ -302,7 +384,7 @@ class QSeries:
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyc24)):
@@ -332,16 +414,23 @@ class QSeries:
         c = const if isinstance(const, Cyc24) else Cyc24(const)
         if not c:
             return QSeries.zero(self.cap)
-        acc = {}
+        return QSeries(self.low, self.cap, self._scaled_comps(c, 0, self.cap - self.low, {}))
+
+    def _scaled_comps(self, c, off, n, acc):
+        """Add c * self, moved off slots right in a window of n, into acc.
+
+        Each rational part of c is one integer multiplier and one
+        denominator.  A 24th root of unity is one or two parts +-z^j, each
+        of which only permutes components and flips signs through _REDUCE."""
         for j, cj in enumerate(c.c):
             if not cj:
                 continue
+            num, den = cj.numerator, cj.denominator
             for i, (d, nums) in self.comps.items():
-                scaled = [cj.numerator * v for v in nums]
-                den = d * cj.denominator
+                placed = _place(nums, off, n)
                 for k, s in _REDUCE[i + j]:
-                    _acc_add(acc, k, den, scaled, s)
-        return QSeries(self.low, self.cap, {k: (dv[0], dv[1]) for k, dv in acc.items()})
+                    _acc_add(acc, k, d * den, placed, s * num)
+        return {k: (dv[0], dv[1]) for k, dv in acc.items()}
 
     def shift(self, e):
         """Multiply by q^(e/24)."""
@@ -376,7 +465,16 @@ class QSeries:
 
     def mul_binomial(self, const, p):
         """Multiply by (1 - const*q^(p/24)), p != 0."""
-        return self + self.shift(p).scale(-(const if isinstance(const, Cyc24) else Cyc24(const)))
+        c = const if isinstance(const, Cyc24) else Cyc24(const)
+        if not c:
+            return self
+        cap = min(self.cap, self.cap + p)
+        low = min(self.low, self.low + p, cap)
+        n = cap - low
+        acc = {}
+        for k, (d, nums) in self.comps.items():
+            _acc_add(acc, k, d, _place(nums, self.low - low, n), 1)
+        return QSeries(low, cap, self._scaled_comps(-c, self.low + p - low, n, acc))
 
     def div_binomial(self, const, p):
         """Divide by (1 - const*q^(p/24)) with p > 0 (geometric recurrence)."""

@@ -1,0 +1,222 @@
+"""Oracles for the array paths of the exact kernel: the array eq_to against
+the coefficient-by-coefficient Cyc24 walk, the lattice-compressed _conv
+against a naive convolution, and the root-of-unity orbits of lerch_expand
+against the plain multiply chain."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mockq.cyclotomic import Cyc24, ONE, zeta_pow
+from mockq.errors import PoleError, PrecisionError
+from mockq.lerch import LerchSpec, _n_window, _root_order, lerch_expand
+from mockq.qseries import QSeries, _conv
+
+
+# ---------------------------------------------------------------------------
+# eq_to against the Cyc24 walk
+
+
+def eq_to_walk(a, b, order):
+    """The original eq_to: build and compare a Cyc24 at every grid point."""
+    top = int(Fraction(order) * 24)
+    if a.cap <= top or b.cap <= top:
+        raise PrecisionError("caps too small")
+    for e in range(min(a.low, b.low), top + 1):
+        x = a.coeff(e)
+        y = b.coeff(e)
+        if x != y:
+            return False, (e, x, y)
+    return True, None
+
+
+def _basis(k, x):
+    cs = [Fraction(0)] * 8
+    cs[k] = x
+    return Cyc24(cs)
+
+
+def _series(terms, cap):
+    return QSeries.from_terms(
+        [(e, _basis(k, Fraction(n, d))) for e, k, n, d in terms], cap
+    )
+
+
+_TERMS = st.lists(
+    st.tuples(
+        st.integers(-30, 130),
+        st.integers(0, 7),
+        st.integers(-4, 4),
+        st.sampled_from([1, 2, 3, 5, 6]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ta=_TERMS,
+    tb=_TERMS,
+    order=st.sampled_from([1, 2, Fraction(5, 2), 4]),
+    extra_a=st.integers(1, 60),
+    extra_b=st.integers(1, 60),
+    shift=st.integers(-5, 5),
+    mode=st.sampled_from(["sum", "independent", "renormalised", "shifted"]),
+)
+def test_eq_to_matches_cyc24_walk(ta, tb, order, extra_a, extra_b, shift, mode):
+    top = int(Fraction(order) * 24)
+    a = _series(ta, top + extra_a)
+    if mode == "sum":
+        # terms of tb beyond the window change only the normalisation
+        b = a + _series(tb, top + extra_b)
+    elif mode == "independent":
+        b = _series(tb, top + extra_b)
+    elif mode == "renormalised":
+        b = a.scale(3).scale(Fraction(1, 3))
+        assert b.eq_to(a, order) == (True, None)
+    else:
+        b = a.shift(shift).truncate(top + extra_b)
+        if b.cap <= top:
+            return
+    got = a.eq_to(b, order)
+    want = eq_to_walk(a, b, order)
+    assert got[0] == want[0]
+    if want[1] is None:
+        assert got[1] is None
+    else:
+        e, x, y = got[1]
+        assert isinstance(x, Cyc24) and isinstance(y, Cyc24)
+        assert (e, x, y) == want[1]
+
+
+def test_eq_to_equal_windows_with_different_denominators():
+    a = QSeries.from_terms([(0, 1), (24, 2)], 100)
+    b = a + QSeries.from_terms([(80, Fraction(1, 7))], 100)
+    assert a.comps[0][0] != b.comps[0][0]
+    assert a.eq_to(b, 3) == (True, None)
+    ok, wit = a.eq_to(b, 4)
+    assert not ok and wit == (80, Cyc24(0), Cyc24(Fraction(1, 7)))
+
+
+# ---------------------------------------------------------------------------
+# _conv on strided supports against a naive convolution
+
+
+def naive_conv(xs, ys, out_len):
+    out = [0] * out_len
+    nzy = [(j, y) for j, y in enumerate(ys) if y]
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in nzy:
+                if i + j < out_len:
+                    out[i + j] += x * y
+    return out
+
+
+def _strided(rng, g, offset, count, density):
+    xs = [0] * (offset + g * count)
+    for t in range(count):
+        if rng.random() < density:
+            xs[offset + g * t] = rng.randrange(-50, 51) * rng.choice([1, 1, 10**30])
+    return xs
+
+
+@pytest.mark.parametrize("g", [24, 48, 72])
+def test_conv_strided_supports_match_naive(g):
+    rng = random.Random(g)
+    for case in range(40):
+        # dense cases (60 lattice points, nearly all nonzero) reach the
+        # Kronecker path after compression; sparse ones the schoolbook path
+        count = rng.choice([3, 10, 60])
+        density = rng.choice([0.3, 1.0])
+        xs = _strided(rng, g, rng.randrange(0, 30), count, density)
+        ys = _strided(rng, rng.choice([g, 2 * g]), rng.randrange(0, 30), count, density)
+        out_len = rng.randrange(1, len(xs) + len(ys))
+        if out_len % g == 0:
+            out_len += 1
+        assert _conv(xs, ys, out_len) == naive_conv(xs, ys, out_len), (g, case)
+
+
+def test_conv_single_terms_and_empty():
+    assert _conv([0, 0, 5], [0, 7], 4) == [0, 0, 0, 35]
+    assert _conv([0, 0, 5], [0, 7], 3) == [0, 0, 0]
+    assert _conv([0, 0], [1], 3) == [0, 0, 0]
+    assert _conv([1], [1], 0) == []
+
+
+# ---------------------------------------------------------------------------
+# lerch_expand orbits against the multiply chain
+
+
+def lerch_chain(spec, cap):
+    """The original lerch_expand: one Cyc24 multiply per term of every tail."""
+    base = spec._base()
+    N = _n_window(spec, cap)
+    terms = []
+    for n in range(-N, N + 1):
+        e0 = spec.num_grid(n)
+        p = spec.den_grid(n)
+        if (e0 if p >= 0 else e0 - p) >= cap:
+            continue
+        coef = base**n
+        c = spec.c_const
+        if p > 0:
+            ck, e = coef, e0
+            while e < cap:
+                terms.append((e, ck))
+                ck = ck * c
+                e += p
+        elif p == 0:
+            terms.append((e0, coef * (ONE - c).inverse()))
+        else:
+            cinv = c.inverse()
+            ck, e = coef * cinv, e0 - p
+            while e < cap:
+                terms.append((e, -ck))
+                ck = ck * cinv
+                e -= p
+    return QSeries.from_terms(terms, cap)
+
+
+# (c, its order as a root of unity) with c = zeta_24^k of order 24/gcd(k, 24)
+_ROOTS = [(ONE, 1), (Cyc24(-1), 2), (zeta_pow(8), 3), (zeta_pow(6), 4),
+          (zeta_pow(3), 8), (zeta_pow(5), 24)]
+_NON_ROOTS = [Cyc24(2), ONE + zeta_pow(1), Cyc24(Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("c,order", _ROOTS)
+def test_root_order(c, order):
+    assert _root_order(c) == order
+
+
+@pytest.mark.parametrize("c", _NON_ROOTS)
+def test_root_order_none_takes_the_chain(c):
+    assert _root_order(c) is None
+
+
+@pytest.mark.parametrize("c", [c for c, _ in _ROOTS] + _NON_ROOTS)
+def test_lerch_orbit_matches_multiply_chain(c):
+    cap = 24 * 12
+    specs = [
+        # p = 24*(n + 1/8) > 0 for n >= 0 and < 0 for n < 0: both tails
+        LerchSpec(A=Fraction(1, 2), B=Fraction(1, 2), rho_const=zeta_pow(16),
+                  c_const=c, D=1, E=Fraction(1, 8)),
+        LerchSpec(A=1, B=1, rho_const=zeta_pow(2), rho_qpow=3, c_const=c,
+                  D=2, E=1, global_sign=1),
+    ]
+    for spec in specs:
+        got = lerch_expand(spec, cap)
+        want = lerch_chain(spec, cap)
+        assert got.eq_to(want, 11) == (True, None)
+        assert got.dump() == want.dump()
+
+
+def test_lerch_pole_at_c_one_stays():
+    spec = LerchSpec(A=Fraction(1, 2), B=Fraction(1, 2), c_const=ONE, D=1, E=0)
+    with pytest.raises(PoleError):
+        lerch_expand(spec, 240)
+    # the same p == 0 term with c != 1 is a finite constant
+    spec = LerchSpec(A=Fraction(1, 2), B=Fraction(1, 2), c_const=zeta_pow(8), D=1, E=0)
+    assert lerch_expand(spec, 240).dump() == lerch_chain(spec, 240).dump()
