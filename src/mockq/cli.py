@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import MockqError
 from .numeric import CHECK_NAMES, NumericScene, SCENES, run_check
-from .registry import registry_catalog, verify
+from .registry import registry_catalog, verify, verify_all
 
 __all__ = ["main", "parse_tau"]
 
@@ -95,14 +93,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    recs = registry_catalog()
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda r: verify(r.id, args.order), recs))
-    else:
-        reports = [verify(r.id, args.order) for r in recs]
-    reports.sort(key=lambda r: r.id)
+    reports = verify_all(args.order)
     _emit([r.to_json_dict() for r in reports], args)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
@@ -113,13 +104,7 @@ def _cmd_numeric(args) -> int:
         scenes = [NumericScene(parse_tau(args.tau))]
     else:
         scenes = list(SCENES)
-    jobs = args.jobs or os.cpu_count() or 1
-    tasks = [(n, sc) for n in names for sc in scenes]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: run_check(t[0], t[1], args.tol), tasks))
-    else:
-        results = [run_check(n, sc, args.tol) for n, sc in tasks]
+    results = [run_check(n, sc, args.tol) for n in names for sc in scenes]
     _emit([r.to_json_dict() for r in results], args)
     return 0 if all(r.passed for r in results) else 1
 
@@ -167,14 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("verify-all", help="verify every identity record")
     pa.add_argument("--order", type=int, default=None)
-    pa.add_argument("--jobs", type=int, default=None)
     pa.set_defaults(fn=_cmd_verify_all)
 
     pn = sub.add_parser("numeric", help="run numeric transformation checks")
     pn.add_argument("--check", default=None)
     pn.add_argument("--tau", default=None)
     pn.add_argument("--tol", type=float, default=None)
-    pn.add_argument("--jobs", type=int, default=None)
     pn.set_defaults(fn=_cmd_numeric)
 
     pc = sub.add_parser("coeffs", help="dump exact coefficients of a record side")

@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import Cyc24, zeta_pow
-from .etatheta import euler_E, euler_E_inv
+from .etatheta import e_product, euler_E, euler_E_inv
 from .lerch import LerchSpec, lerch_expand
 from .mocktheta import omega_watson
 from .qseries import QSeries
@@ -31,28 +31,19 @@ __all__ = [
 Y_SPEC = LerchSpec(A=Fraction(1), B=Fraction(1), c_const=-1, D=Fraction(2), E=Fraction(1))
 
 
-def _eta_product(factors, cap) -> QSeries:
-    out = QSeries.one(cap)
-    for m, r in factors:
-        f = euler_E(m, cap) if r > 0 else euler_E_inv(m, cap)
-        for _ in range(abs(r)):
-            out = out * f
-    return out.truncate(cap)
-
-
 def e_quotients(cap):
     """(e0, e1, e2), the closed-form components of the 3-dissection of
     E(q)^2 E(q^4)^2 / (E(q^2)^2 E(q^6))."""
-    e0 = _eta_product([(6, 10), (4, 2), (1, 2), (12, -4), (3, -4), (2, -5)], cap)
-    e1 = _eta_product([(6, 4), (4, 1), (1, 1), (12, -1), (3, -1), (2, -3)], cap)
-    e2 = _eta_product([(12, 2), (3, 2), (6, -2), (2, -1)], cap)
+    e0 = e_product([(6, 10), (4, 2), (1, 2), (12, -4), (3, -4), (2, -5)], cap)
+    e1 = e_product([(6, 4), (4, 1), (1, 1), (12, -1), (3, -1), (2, -3)], cap)
+    e2 = e_product([(12, 2), (3, 2), (6, -2), (2, -1)], cap)
     return e0, e1, e2
 
 
 def eta3diss_sides(cap):
     """LHS E(q)^2 E(q^4)^2/(E(q^2)^2 E(q^6)) and its dissected RHS
     e0(q^3) - 2q e1(q^3) + q^2 e2(q^3)."""
-    lhs = _eta_product([(1, 2), (4, 2), (2, -2), (6, -1)], cap)
+    lhs = e_product([(1, 2), (4, 2), (2, -2), (6, -1)], cap)
     e0, e1, e2 = e_quotients(cap)
     rhs = (
         e0.compose_power(3).truncate(cap)

@@ -22,6 +22,7 @@ __all__ = [
     "euler_E",
     "euler_E_product",
     "euler_E_inv",
+    "e_product",
     "eta_quotient",
     "pochhammer_inf",
     "pochhammer_fin",
@@ -30,7 +31,6 @@ __all__ = [
     "theta3",
     "delta_triangular",
     "delta_P0_P1",
-    "psi",
     "psi_product",
     "phi_theta",
     "phi_theta_product",
@@ -184,14 +184,20 @@ def _split_keep(text):
     return out
 
 
-def eta_quotient(spec: EtaQuotientSpec, cap) -> QSeries:
-    pre = spec.prefactor_grid()
-    out = QSeries.one(cap - min(0, pre))
-    for m, r in spec.factors:
-        f = euler_E(m, out.cap) if r > 0 else euler_E_inv(m, out.cap)
+def e_product(factors, cap) -> QSeries:
+    """prod E(q^m)^r over the (m, r) pairs; eta_quotient adds the
+    q^(sum m*r/24) prefactor."""
+    out = QSeries.one(cap)
+    for m, r in factors:
+        f = euler_E(m, cap) if r > 0 else euler_E_inv(m, cap)
         for _ in range(abs(r)):
             out = out * f
-    return out.shift(pre).truncate(cap)
+    return out
+
+
+def eta_quotient(spec: EtaQuotientSpec, cap) -> QSeries:
+    pre = spec.prefactor_grid()
+    return e_product(spec.factors, cap - min(0, pre)).shift(pre).truncate(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +318,6 @@ def delta_P0_P1(cap):
     p0 = p0 * euler_E_inv(6, p0.cap) * euler_E_inv(1, p0.cap)
     p1 = euler_E(6, cap) * euler_E(6, cap) * euler_E_inv(3, cap)
     return delta, p0.truncate(cap), p1.truncate(cap)
-
-
-def psi(cap) -> QSeries:
-    """psi(q) = sum_{n>=0} q^(n(n+1)/2) (same series as Delta)."""
-    return delta_triangular(cap)
 
 
 def psi_product(cap) -> QSeries:

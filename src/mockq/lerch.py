@@ -8,7 +8,7 @@ sums, the mu specializations and the residue-class Y-sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 from math import ceil, isqrt
@@ -73,101 +73,6 @@ class LerchSpec:
         if p.denominator != 1:
             raise GridError("denominator exponent off grid at n=%d" % n)
         return int(p)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LerchSpec":
-        """Parse literals like "sum (-1)^n zeta3^n q^(n^2+n) / (1 + q^(2n+1))"."""
-        s = text.replace(" ", "")
-        if not s.startswith("sum"):
-            raise ValueError("lerch literal must start with 'sum'")
-        s = s[3:]
-        global_sign = 1
-        if s.startswith("(-1)^n"):
-            global_sign = -1
-            s = s[6:].lstrip("*")
-        rho = CONE
-        if s.startswith("zeta"):
-            head, _, s = s.partition("^")
-            order = int(head[4:])
-            k = 0
-            while k < len(s) and s[k].isdigit():
-                k += 1
-            mult = int(s[:k]) if k else 1
-            s = s[k:]
-            if not s.startswith("n"):
-                raise ValueError("zeta factor must be raised to a multiple of n")
-            s = s[1:].lstrip("*")
-            rho = zeta_pow(24 // order * mult)
-        if not s.startswith("q^(") :
-            raise ValueError("expected q^(...) numerator")
-        expr, s = _take_paren(s[2:])
-        A, B, C = _quad_coeffs(expr)
-        if not s.startswith("/("):
-            raise ValueError("expected /(denominator)")
-        den, s = _take_paren(s[1:])
-        c_const, D, E = _parse_denominator(den)
-        return cls(A, B, C, rho_const=rho, c_const=c_const, D=D, E=E,
-                   global_sign=global_sign)
-
-
-def _take_paren(s):
-    """s starts with '('; return (inner, rest-after-matching-paren)."""
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return s[1:i], s[i + 1 :]
-    raise ValueError("unbalanced parentheses in %r" % s)
-
-
-def _poly_eval(expr: str, n: Fraction) -> Fraction:
-    py = expr.replace("^", "**")
-    out = ""
-    for i, ch in enumerate(py):
-        if ch in "n(" and i > 0 and (py[i - 1].isdigit() or py[i - 1] in "n)"):
-            out += "*" + ch
-        else:
-            out += ch
-    return Fraction(eval(out, {"__builtins__": {}}, {"n": n, "Fraction": Fraction}))
-
-
-def _quad_coeffs(expr):
-    f0 = _poly_eval(expr, Fraction(0))
-    f1 = _poly_eval(expr, Fraction(1))
-    f2 = _poly_eval(expr, Fraction(2))
-    f3 = _poly_eval(expr, Fraction(3))
-    A = (f2 - 2 * f1 + f0) / 2
-    B = f1 - f0 - A
-    if 9 * A + 3 * B + f0 != f3:
-        raise ValueError("numerator exponent %r is not quadratic in n" % expr)
-    return A, B, f0
-
-
-def _parse_denominator(den):
-    """den like "1+q^(2n+1)" or "1-zeta3*q^(2n+1)"."""
-    if not den.startswith("1"):
-        raise ValueError("denominator must be 1 -+ c*q^(...)")
-    sign = den[1]
-    rest = den[2:]
-    c = CONE if sign == "-" else Cyc24(-1)
-    if rest.startswith("zeta"):
-        head, _, rest = rest.partition("*")
-        base, _, exp = head.partition("^")
-        c = c * zeta_pow(24 // int(base[4:]) * (int(exp) if exp else 1))
-    if not rest.startswith("q^(" ):
-        raise ValueError("denominator must contain q^(...)")
-    expr, tail = _take_paren(rest[2:])
-    if tail:
-        raise ValueError("trailing junk %r in denominator" % tail)
-    g0 = _poly_eval(expr, Fraction(0))
-    g1 = _poly_eval(expr, Fraction(1))
-    g2 = _poly_eval(expr, Fraction(2))
-    if g2 - g1 != g1 - g0:
-        raise ValueError("denominator exponent %r is not linear in n" % expr)
-    return c, g1 - g0, g0
 
 
 def _n_window(spec: LerchSpec, cap: int):

@@ -20,7 +20,7 @@ import mpmath
 from scipy import integrate, special
 
 from .errors import ConvergenceError, PoleError
-from .etatheta import EtaQuotientSpec, eta_quotient
+from .etatheta import EtaQuotientSpec
 from .mocktheta import f_eulerian, omega_eulerian
 
 __all__ = [
@@ -264,18 +264,19 @@ def mu_tilde_modular_check(gamma, u, v, scene) -> float:
 def g_ab_num(a, b, scene) -> complex:
     """g_{a,b}(tau) = sum over n in a+Z of n e^(pi i n^2 tau + 2 pi i n b)."""
     sc = _coerce(scene)
-    a = float(a)
-    b = float(b)
-    tau = sc.tau
+    return _g_ab_sum(float(a), float(b), sc.tau, sc.series_term_floor, sc.max_terms)
+
+
+def _g_ab_sum(a, b, tau, floor=1e-18, max_terms=4000) -> complex:
     out = 0j
     small = 0
-    for m in range(sc.max_terms):
+    for m in range(max_terms):
         t = 0j
         for n in ((a + m, a - m) if m else (a,)):
             if n:
                 t += n * cmath.exp(1j * math.pi * n * n * tau + _TWO_PI_I * n * b)
         out += t
-        if abs(t) < sc.series_term_floor and m > abs(a) + 1:
+        if abs(t) < floor and m > abs(a) + 1:
             small += 1
             if small >= 3:
                 return out
@@ -390,36 +391,18 @@ def _eichler_terms_from_taubar(terms, scene) -> complex:
     return out
 
 
-def _g_ab_direct(a, b, tau) -> complex:
-    out = 0j
-    small = 0
-    for m in range(4000):
-        t = 0j
-        for n in ((a + m, a - m) if m else (a,)):
-            if n:
-                t += n * cmath.exp(1j * math.pi * n * n * tau + _TWO_PI_I * n * b)
-        out += t
-        if abs(t) < 1e-18 and m > abs(a) + 1:
-            small += 1
-            if small >= 3:
-                return out
-        else:
-            small = 0
-    raise ConvergenceError("g_{a,b} series did not reach the term floor")
-
-
 def _g_ab_smart(a, b, w) -> complex:
     """g_{a,b}(w) for w anywhere in the upper half-plane: the direct series
     for Im(w) large, the modular inversion g_{a,b}(w) =
     i e^(2 pi i a b) (i/w)^(3/2) g_{b,-a}(-1/w) near the real axis."""
     if w.imag >= 0.5:
-        return _g_ab_direct(a, b, w)
+        return _g_ab_sum(a, b, w)
     t2 = -1 / w
     return (
         1j
         * cmath.exp(_TWO_PI_I * a * b)
         * (-1j * t2) ** 1.5
-        * _g_ab_direct(b, -a, t2)
+        * _g_ab_sum(b, -a, t2)
     )
 
 
@@ -510,7 +493,7 @@ def _g_eval(terms, z) -> complex:
     small = 0
     for k, (lam, coef) in enumerate(terms):
         if k >= 4000:
-            break
+            raise ConvergenceError("g series did not reach the term floor")
         t = coef * cmath.exp(1j * math.pi * lam * z)
         out += t
         if abs(t) < 1e-18:

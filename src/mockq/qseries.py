@@ -617,12 +617,6 @@ class QSeries:
             comps[k] = (d, out)
         return QSeries(self.low, self.cap, comps, _trusted=True)
 
-    def map_coeffs(self, fn):
-        """Apply a Cyc24 -> Cyc24 map to every coefficient."""
-        return QSeries.from_terms(
-            ((e, fn(c)) for e, c in self.nonzero_items()), self.cap
-        )
-
     def _require_integer_exponents(self, what):
         for k, (d, nums) in self.comps.items():
             for i, v in enumerate(nums):

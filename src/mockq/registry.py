@@ -5,7 +5,6 @@ verify, with builders for both sides and a batch driver producing reports.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -580,11 +579,6 @@ def verify(rec_id: str, order=None) -> VerifyReport:
     raise AssertionError("unreachable")
 
 
-def verify_all(order_override=None, jobs=None):
-    recs = registry_catalog()
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            out = list(pool.map(lambda r: verify(r.id, order_override), recs))
-    else:
-        out = [verify(r.id, order_override) for r in recs]
+def verify_all(order_override=None):
+    out = [verify(r.id, order_override) for r in registry_catalog()]
     return sorted(out, key=lambda rep: rep.id)

@@ -25,6 +25,15 @@ def test_verify_json(capsys):
     assert data[0]["id"] == "NEWOMEGA" and data[0]["status"] == "pass"
 
 
+def test_verify_all_json(capsys):
+    code = main(["verify-all", "--order", "5", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(data) == 44
+    assert [row["id"] for row in data] == sorted(row["id"] for row in data)
+    assert all(row["status"] == "pass" for row in data)
+
+
 def test_verify_unknown_id(capsys):
     code = main(["verify", "--id", "NO_SUCH"])
     err = capsys.readouterr().err
@@ -38,6 +47,11 @@ def test_bad_order(capsys):
 
 def test_bad_subcommand():
     assert main(["not-a-command"]) == 2
+
+
+def test_jobs_option_is_gone(capsys):
+    assert main(["verify-all", "--jobs", "4"]) == 2
+    assert "unrecognized arguments: --jobs 4" in capsys.readouterr().err
 
 
 def test_numeric_single_check(capsys):

@@ -8,6 +8,7 @@ from mockq.etatheta import (
     EtaQuotientSpec,
     Monomial,
     delta_P0_P1,
+    delta_triangular,
     eta_quotient,
     euler_E,
     euler_E_inv,
@@ -17,7 +18,6 @@ from mockq.etatheta import (
     phi_theta_product,
     pochhammer_fin,
     pochhammer_inf,
-    psi,
     psi_product,
     theta3,
     theta_Theta,
@@ -140,7 +140,7 @@ def test_triangular_3_dissection():
 
 def test_psi_and_phi_product_forms():
     cap = 24 * 80
-    assert_eq(psi(cap), psi_product(cap), 75)
+    assert_eq(delta_triangular(cap), psi_product(cap), 75)
     assert_eq(phi_theta(cap), phi_theta_product(cap), 75)
 
 

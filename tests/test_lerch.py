@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mockq.cyclotomic import Cyc24, zeta_pow
+from mockq.cyclotomic import zeta_pow
 from mockq.errors import GridError, PoleError
 from mockq.lerch import LerchSpec, lerch_expand, mu_formal
 from mockq.numeric import mu_num, qseries_eval
@@ -86,26 +86,6 @@ def test_off_grid_rejected():
     spec = LerchSpec(A=Fraction(1, 5))
     with pytest.raises(GridError):
         lerch_expand(spec, 240)
-
-
-def test_from_text_round_trips_known_sums():
-    spec = LerchSpec.from_text("sum (-1)^n q^(n^2+n) / (1 + q^(2n+1))")
-    assert spec == LerchSpec(A=1, B=1, c_const=-1, D=2, E=1)
-    spec = LerchSpec.from_text("sum (-1)^n zeta3^n q^(n^2+n) / (1+q^(2n+1))")
-    assert spec.rho_const == zeta_pow(8)
-    spec = LerchSpec.from_text("sum (-1)^n zeta3^2n q^(n^2+n) / (1 - zeta3*q^(2n+1))")
-    assert spec.rho_const == zeta_pow(16) and spec.c_const == zeta_pow(8)
-    spec = LerchSpec.from_text("sum (-1)^n q^(3n(n+1)) / (1 - q^(2n+1))")
-    assert spec == LerchSpec(A=3, B=3, c_const=1, D=2, E=1)
-    spec = LerchSpec.from_text("sum (-1)^n q^(n(3n+1)/2) / (1 + q^(n))")
-    assert spec == LerchSpec(A=Fraction(3, 2), B=Fraction(1, 2), c_const=-1, D=1, E=0)
-
-
-def test_from_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        LerchSpec.from_text("q^(n^2)/(1-q^n)")
-    with pytest.raises(ValueError):
-        LerchSpec.from_text("sum (-1)^n q^(n^3) / (1 - q^(n))")
 
 
 def test_mu_formal_matches_numeric_mu():

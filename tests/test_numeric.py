@@ -5,7 +5,7 @@ import mpmath
 import pytest
 from scipy import integrate
 
-from mockq.errors import PoleError
+from mockq.errors import ConvergenceError, PoleError
 from mockq.numeric import (
     CHECK_NAMES,
     E_num,
@@ -24,6 +24,9 @@ from mockq.numeric import (
     qseries_eval,
     run_check,
     theta_num,
+    _g_ab_smart,
+    _g_eval,
+    _gab_terms,
 )
 
 SC = NumericScene(0.25 + 1j)
@@ -126,6 +129,15 @@ def test_eichler_termwise_vs_quadrature():
     tw = eichler_gab(a, b, SC, method="terms")
     qd = eichler_gab(a, b, SC, method="quad")
     assert abs(tw - qd) < 1e-9
+
+
+def test_g_eval_raises_when_the_term_budget_runs_out():
+    # near the real axis 4000 terms do not reach the floor: no truncated sum
+    with pytest.raises(ConvergenceError):
+        _g_eval(_gab_terms(1 / 3, 0.0), 1e-7j)
+    # within the budget the direct sum agrees with the modular inversion
+    value = _g_eval(_gab_terms(1 / 3, 0.0), 1e-3j)
+    assert abs(value - _g_ab_smart(1 / 3, 0.0, 1e-3j)) < 1e-12
 
 
 def test_mordell_quad_vs_grid():

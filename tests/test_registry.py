@@ -64,12 +64,10 @@ def test_unknown_id_raises():
         verify("NOT_A_RECORD")
 
 
-def test_verify_all_sorted_and_parallel_consistent():
-    serial = verify_all(order_override=20)
-    parallel = verify_all(order_override=20, jobs=4)
-    assert [r.id for r in serial] == sorted(r.id for r in serial)
-    assert [(r.id, r.status) for r in serial] == [(r.id, r.status) for r in parallel]
-    assert all(r.status == "pass" for r in serial)
+def test_verify_all_sorted():
+    reports = verify_all(order_override=20)
+    assert [r.id for r in reports] == sorted(r.id for r in reports)
+    assert all(r.status == "pass" for r in reports)
 
 
 def test_rln_descriptions_record_interpretation():
