@@ -27,7 +27,6 @@ from .etatheta import (
     eta_quotient,
     euler_E,
     euler_E_inv,
-    euler_E_product,
     jtp_product,
     pochhammer_fin,
     pochhammer_inf,
@@ -67,7 +66,6 @@ __all__ = [
     "EtaQuotientSpec",
     "euler_E",
     "euler_E_inv",
-    "euler_E_product",
     "eta_quotient",
     "pochhammer_inf",
     "pochhammer_fin",

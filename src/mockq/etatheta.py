@@ -2,8 +2,7 @@
 Jacobi triple product, theta functions and the triangular-number helpers.
 
 All constructors return QSeries on the 1/24 exponent grid.  E(q) is built
-from the pentagonal-number series (O(sqrt(N)) terms); the literal truncated
-product is kept in `euler_E_product` as a permanently shipping test oracle.
+from the pentagonal-number series (O(sqrt(N)) terms).
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ __all__ = [
     "Monomial",
     "EtaQuotientSpec",
     "euler_E",
-    "euler_E_product",
     "euler_E_inv",
     "e_product",
     "eta_quotient",
     "pochhammer_inf",
     "pochhammer_fin",
     "jtp_product",
+    "theta_sum",
     "theta_Theta",
     "theta3",
     "delta_triangular",
@@ -101,17 +100,6 @@ def euler_E_inv(m, cap) -> QSeries:
     return cached.truncate(cap)
 
 
-def euler_E_product(m, cap) -> QSeries:
-    """Literal truncated product; independent oracle for euler_E."""
-    g = _grid_mult(m)
-    out = QSeries.one(cap)
-    n = 1
-    while n * g < cap:
-        out = out.mul_binomial(1, n * g)
-        n += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # eta quotients
 
@@ -147,41 +135,6 @@ class EtaQuotientSpec:
         for m, r in den:
             text += "/" + fmt(m, r)
         return text
-
-    @classmethod
-    def from_text(cls, text: str) -> "EtaQuotientSpec":
-        factors = {}
-        sign = 1
-        for piece in _split_keep(text):
-            if piece == "*":
-                continue
-            if piece == "/":
-                sign = -1
-                continue
-            if not piece.startswith("eta(") or ")" not in piece:
-                raise ValueError("bad eta factor %r" % piece)
-            inner, _, tail = piece[4:].partition(")")
-            r = int(tail[1:]) if tail.startswith("^") else 1
-            m = Fraction(inner)
-            factors[m] = factors.get(m, 0) + sign * r
-            sign = 1  # each '/' binds to the single following factor
-        return cls([(m, r) for m, r in factors.items() if r])
-
-
-def _split_keep(text):
-    out = []
-    cur = ""
-    for ch in text.replace(" ", ""):
-        if ch in "*/":
-            if cur:
-                out.append(cur)
-                cur = ""
-            out.append(ch)
-        else:
-            cur += ch
-    if cur:
-        out.append(cur)
-    return out
 
 
 def e_product(factors, cap) -> QSeries:
@@ -264,17 +217,21 @@ def jtp_product(z: Monomial, cap):
     lhs = euler_E(2, cap)
     lhs = lhs * pochhammer_inf(Monomial(z.const, 24 + z.pow), 48, lhs.cap)
     lhs = lhs * pochhammer_inf(Monomial(z.const.inverse(), 24 - z.pow), 48, lhs.cap)
+    return lhs.truncate(cap), theta_sum(z, lhs.cap).truncate(cap)
+
+
+def theta_sum(z: Monomial, cap) -> QSeries:
+    """sum_{n in Z} (-1)^n z^n q^(n^2)."""
     terms = []
     n = 0
-    while 24 * n * n - n * abs(z.pow) < lhs.cap or n <= abs(z.pow) // 48 + 1:
+    while 24 * n * n - n * abs(z.pow) < cap or n <= abs(z.pow) // 48 + 1:
         for nn in (n, -n) if n else (0,):
             e = 24 * nn * nn + nn * z.pow
-            if e < lhs.cap:
+            if e < cap:
                 c = z.const**nn
                 terms.append((e, -c if nn % 2 else c))
         n += 1
-    rhs = QSeries.from_terms(terms, lhs.cap)
-    return lhs.truncate(cap), rhs.truncate(cap)
+    return QSeries.from_terms(terms, cap)
 
 
 def theta_Theta(z: Monomial, m, cap) -> QSeries:

@@ -21,6 +21,7 @@ from .etatheta import (
     pochhammer_inf,
     theta_Theta,
     theta3,
+    theta_sum,
 )
 from .qseries import QSeries
 
@@ -178,20 +179,6 @@ def crank_pair(z: Monomial, cap: int, qmult: int = 1):
 # the two-variable theta identity
 
 
-def _alt_theta_sum(z: Monomial, cap: int) -> QSeries:
-    """sum_{n in Z} (-1)^n z^n q^(n^2)."""
-    terms = []
-    n = 0
-    while 24 * n * n - n * abs(z.pow) < cap or n <= abs(z.pow) // 48 + 1:
-        for nn in (n, -n) if n else (0,):
-            e = 24 * nn * nn + nn * z.pow
-            if e < cap:
-                c = z.const**nn
-                terms.append((e, -c if nn % 2 else c))
-        n += 1
-    return QSeries.from_terms(terms, cap)
-
-
 def thetaid_pair(z: Monomial, cap: int):
     """Both sides of
     sum (-1)^n q^(n^2) z^n (1 - z q^(2n))/(1 + z q^(2n))
@@ -208,7 +195,7 @@ def thetaid_pair(z: Monomial, cap: int):
         E=Fraction(z.pow, 24),
     )
     work = cap + 4 * abs(z.pow) + 96
-    lhs = lerch_expand(spec, work).scale(2) - _alt_theta_sum(z, work)
+    lhs = lerch_expand(spec, work).scale(2) - theta_sum(z, work)
     num = theta_Theta(z, 2, work)
     num = num * theta_Theta(Monomial(-z.const, z.pow + 24), 2, work)
     num = num * theta3(work)

@@ -20,7 +20,6 @@ import mpmath
 from scipy import integrate, special
 
 from .errors import ConvergenceError, PoleError
-from .etatheta import EtaQuotientSpec
 from .mocktheta import f_eulerian, omega_eulerian
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "mu_tilde_num",
     "mu_tilde_modular_check",
     "g_ab_num",
-    "g012_num",
     "eichler_gab",
     "eichler_integral",
     "mordell_j",
@@ -285,36 +283,6 @@ def _g_ab_sum(a, b, tau, floor=1e-18, max_terms=4000) -> complex:
     raise ConvergenceError("g_{a,b} series did not reach the term floor")
 
 
-def g012_num(idx, z) -> complex:
-    """The three component theta functions, coded directly from their sums:
-    g0(z) = sum (-1)^n (n+1/3) e^(3 pi i (n+1/3)^2 z),
-    g1(z) = -sum (n+1/6) e^(3 pi i (n+1/6)^2 z),
-    g2(z) = sum (n+1/3) e^(3 pi i (n+1/3)^2 z)."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise ValueError("g needs Im(z) > 0")
-    out = 0j
-    for m in range(1200):
-        t = 0j
-        for n in (m, -m - 1):
-            if idx == 0:
-                r = n + 1.0 / 3
-                c = (-1) ** (n & 1) * r
-            elif idx == 1:
-                r = n + 1.0 / 6
-                c = -r
-            elif idx == 2:
-                r = n + 1.0 / 3
-                c = r
-            else:
-                raise ValueError("idx must be 0, 1 or 2")
-            t += c * cmath.exp(3j * math.pi * r * r * z)
-        out += t
-        if abs(t) < 1e-18 and m > 2:
-            return out
-    raise ConvergenceError("g component series did not converge")
-
-
 # the g_{a,b} hooks: g2(z) = g_{1/3,0}(3z), g1(z) = -g_{1/6,0}(3z),
 # g0(z) = e^(-pi i/3) g_{1/3,1/2}(3z); exposed as term generators below so the
 # Eichler integrals can be reduced in closed form per term.
@@ -458,62 +426,18 @@ def _eichler_terms_from_zero(terms, scene, g_eval) -> complex:
     return out + complex(re, im)
 
 
-def _eichler_quad_from_taubar(g_of_z, scene) -> complex:
-    """Adaptive-quadrature oracle for the same path integral, parametrized
-    z = -conj(tau) + i t with sqrt(-i (z+tau)) = sqrt(2y + t)."""
-    sc = _coerce(scene)
-    y = sc.tau.imag
-    T = max(40.0, 24.0 * math.log(1 / sc.quad_rel_tol) / math.pi)
-
-    def f(t, part):
-        val = 1j * g_of_z(-sc.tau.conjugate() + 1j * t) / math.sqrt(2 * y + t)
-        return val.real if part == 0 else val.imag
-
-    re, _ = integrate.quad(f, 0, T, args=(0,), epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400)
-    im, _ = integrate.quad(f, 0, T, args=(1,), epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400)
-    return complex(re, im)
+def eichler_gab(a, b, scene) -> complex:
+    """integral from -conj(tau) to i*infinity of g_{a,b}(z)/sqrt(-i(z+tau)) dz."""
+    return _eichler_terms_from_taubar(_gab_terms(a, b), _coerce(scene))
 
 
-def eichler_gab(a, b, scene, sqrt_convention=-1, method="terms") -> complex:
-    """integral from -conj(tau) to i*infinity of g_{a,b}(z)/sqrt(s*i*(z+tau)) dz
-    with s = sqrt_convention (-1 gives sqrt(-i(z+tau)), +1 gives sqrt(i(z+tau)),
-    which differ by a factor i on the path)."""
-    sc = _coerce(scene)
-    if method == "terms":
-        out = _eichler_terms_from_taubar(_gab_terms(a, b), sc)
-    else:
-        out = _eichler_quad_from_taubar(lambda z: _g_eval(_gab_terms(a, b), z), sc)
-    if sqrt_convention == 1:
-        out = out / 1j
-    return out
-
-
-def _g_eval(terms, z) -> complex:
-    out = 0j
-    small = 0
-    for k, (lam, coef) in enumerate(terms):
-        if k >= 4000:
-            raise ConvergenceError("g series did not reach the term floor")
-        t = coef * cmath.exp(1j * math.pi * lam * z)
-        out += t
-        if abs(t) < 1e-18:
-            small += 1
-            if small >= 4:
-                break
-        else:
-            small = 0
-    return out
-
-
-def eichler_integral(idx, scene, lower="taubar", method="terms") -> complex:
+def eichler_integral(idx, scene, lower="taubar") -> complex:
     """integral of g_idx(z)/sqrt(-i(z+tau)) dz along the vertical path from
     -conj(tau) (lower="taubar") or from 0 (lower="zero") to i*infinity."""
     sc = _coerce(scene)
     terms = _g012_terms(idx)
     if lower == "taubar":
-        if method == "terms":
-            return _eichler_terms_from_taubar(terms, sc)
-        return _eichler_quad_from_taubar(lambda z: g012_num(idx, z), sc)
+        return _eichler_terms_from_taubar(terms, sc)
     if lower == "zero":
         return _eichler_terms_from_zero(terms, sc, lambda z: _g012_smart(idx, z))
     raise ValueError("lower must be 'taubar' or 'zero'")
@@ -536,7 +460,7 @@ def _mordell_ratio(idx, tau, x):
     raise ValueError("idx must be 1, 2 or 3")
 
 
-def mordell_j(idx, scene, method="quad") -> complex:
+def mordell_j(idx, scene) -> complex:
     """j_idx(tau) = integral from 0 to infinity of
     e^(3 pi i tau x^2) * (sin/cos ratio) dx, truncated where the Gaussian
     envelope e^(-3 pi Im(tau) x^2) falls below the term floor."""
@@ -548,24 +472,13 @@ def mordell_j(idx, scene, method="quad") -> complex:
     def f(x):
         return cmath.exp(3j * math.pi * tau * x * x) * _mordell_ratio(idx, tau, x)
 
-    if method == "quad":
-        re, _ = integrate.quad(
-            lambda x: f(x).real, 0, X, epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400
-        )
-        im, _ = integrate.quad(
-            lambda x: f(x).imag, 0, X, epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400
-        )
-        return complex(re, im)
-    if method == "grid":
-        # fixed-step Simpson oracle, independent of the adaptive path
-        n = 16001
-        h = X / (n - 1)
-        vals = [f(k * h) for k in range(n)]
-        s = vals[0] + vals[-1]
-        s += 4 * sum(vals[k] for k in range(1, n, 2))
-        s += 2 * sum(vals[k] for k in range(2, n - 1, 2))
-        return s * h / 3
-    raise ValueError("method must be 'quad' or 'grid'")
+    re, _ = integrate.quad(
+        lambda x: f(x).real, 0, X, epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400
+    )
+    im, _ = integrate.quad(
+        lambda x: f(x).imag, 0, X, epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400
+    )
+    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +512,21 @@ def F_num(scene):
     return (f0, f1, f2)
 
 
-def G_num(scene, method="terms"):
+def G_num(scene):
     """G = 2 i sqrt(3) * integral from -conj(tau) to i*infinity of
     (g1, g0, -g2)^T / sqrt(-i (z+tau)) dz."""
     sc = _coerce(scene)
     c = 2j * _SQRT3
     return (
-        c * eichler_integral(1, sc, method=method),
-        c * eichler_integral(0, sc, method=method),
-        -c * eichler_integral(2, sc, method=method),
+        c * eichler_integral(1, sc),
+        c * eichler_integral(0, sc),
+        -c * eichler_integral(2, sc),
     )
 
 
-def H_num(scene, method="terms"):
+def H_num(scene):
     f = F_num(scene)
-    g = G_num(scene, method=method)
+    g = G_num(scene)
     return tuple(a - b for a, b in zip(f, g))
 
 
@@ -771,7 +684,7 @@ def _check_gab(part):
 def _check_gabints(sc):
     # the relation holds with the sqrt(-i(z+tau)) branch used everywhere else
     a, b = -1.0 / 6, -0.5
-    lhs = eichler_gab(a + 0.5, b + 0.5, sc, sqrt_convention=-1)
+    lhs = eichler_gab(a + 0.5, b + 0.5, sc)
     rhs = -cmath.exp(
         -1j * math.pi * a * a * sc.tau + _TWO_PI_I * a * (b + 0.5)
     ) * R_num(a * sc.tau - b, sc)
@@ -844,10 +757,10 @@ def _consistency(rec_id, numeric_rhs):
     return run
 
 
-def _eta_quot(text, sc):
-    spec = EtaQuotientSpec.from_text(text)
+def _eta_quot(factors, sc):
+    """prod eta(m*tau)^r over the (m, r) pairs of an EtaQuotientSpec."""
     out = 1.0 + 0j
-    for m, r in spec.factors:
+    for m, r in factors:
         out *= eta_num(sc.at(float(m) * sc.tau)) ** r
     return out
 
@@ -855,7 +768,7 @@ def _eta_quot(text, sc):
 def _numeric_newomega(sc):
     tau = sc.tau
     c0 = -2j / _SQRT3
-    quot = _eta_quot("eta(1)^2*eta(4)^2/eta(2)^2/eta(6)", sc)
+    quot = _eta_quot(((1, 2), (4, 2), (2, -2), (6, -1)), sc)
     mu = mu_num(tau + 0.5, 1.0 / 3, sc.at(2 * tau))
     pre = (4 / _SQRT3) * cmath.exp(-1j * math.pi / 6) * cmath.exp(-_TWO_PI_I * tau / 4)
     return c0 - (2.0 / 3) * quot - pre * mu
@@ -864,7 +777,7 @@ def _numeric_newomega(sc):
 def _numeric_newomega2(sc):
     tau = sc.tau
     c0 = -2j / _SQRT3
-    quot = _eta_quot("eta(2)^4/eta(6)/eta(1)^2", sc)
+    quot = _eta_quot(((2, 4), (6, -1), (1, -2)), sc)
     mu = mu_num(tau - 2.0 / 3, -1.0 / 3, sc.at(2 * tau))
     pre = (4 / _SQRT3) * cmath.exp(1j * math.pi / 3) * cmath.exp(-_TWO_PI_I * tau / 4)
     return c0 + (2.0 / 3) * quot - pre * mu
@@ -875,7 +788,7 @@ def _numeric_newf(sc):
     # eta-quotient's q^(-1/8) and scales the mu term
     tau = sc.tau
     q18 = cmath.exp(_TWO_PI_I * tau / 8)
-    quot = _eta_quot("eta(1)^4/eta(3)/eta(2)^2", sc)
+    quot = _eta_quot(((1, 4), (3, -1), (2, -2)), sc)
     mu = mu_num(-0.5, -1.0 / 3, sc)
     return (1.0 / 3) * q18 * quot + q18 * (4j / _SQRT3) * mu
 

@@ -39,7 +39,7 @@ from operator import add, sub
 
 try:
     from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; without it the kernel uses Python int
     _mpz = int
 
 from .cyclotomic import Cyc24, ZERO as CZERO, _REDUCE

@@ -145,17 +145,10 @@ def _b_newf(cap):
     return [(lhs, rhs)]
 
 
+# each z = zeta24^k * q^(p/24) is stored as (k, p); -1 is k = 12
 _JTP_BATTERY = [
-    Monomial(Cyc24(1), 24),
-    Monomial(Cyc24(-1), 24),
-    Monomial(Cyc24(1), 12),
-    Monomial(Cyc24(-1), 12),
-    Monomial(zeta_pow(8), 24),
-    Monomial(zeta_pow(4), 24),
-    Monomial(zeta_pow(6), 24),
-    Monomial(zeta_pow(8), 0),
-    Monomial(Cyc24(-1), -24),
-    Monomial(zeta_pow(1), 12),
+    (0, 24), (12, 24), (0, 12), (12, 12), (8, 24),
+    (4, 24), (6, 24), (8, 0), (12, -24), (1, 12),
 ]
 
 
@@ -166,11 +159,7 @@ def _b_jtp(z):
     return build
 
 
-_CRANK_BATTERY = [
-    (Monomial(Cyc24(1), 36), 3),
-    (Monomial(Cyc24(-1), 24), 1),
-    (Monomial(Cyc24(-1), 72), 6),
-]
+_CRANK_BATTERY = [((0, 36), 3), ((12, 24), 1), ((12, 72), 6)]
 
 
 def _b_crank(z, m):
@@ -180,12 +169,16 @@ def _b_crank(z, m):
     return build
 
 
-_THETAID_BATTERY = [
-    Monomial(Cyc24(1), 24),
-    Monomial(zeta_pow(8), 24),
-    Monomial(Cyc24(1), 0),
-    Monomial(Cyc24(-1), 24),
-]
+_THETAID_BATTERY = [(0, 24), (8, 24), (0, 0), (12, 24)]
+
+
+def _z_text(z):
+    return "zeta24^%d * q^(%d/24)" % z
+
+
+def _z_monomial(z):
+    k, p = z
+    return Monomial(zeta_pow(k), p)
 
 
 def _b_thetaid(z):
@@ -503,8 +496,8 @@ def registry_catalog():
         recs.append(
             IdentityRecord(
                 "JTP_%02d" % i,
-                "Jacobi triple product at z = %s * q^(%d/24)" % (z.const.to_text(), z.pow),
-                _b_jtp(z),
+                "Jacobi triple product at z = %s" % _z_text(z),
+                _b_jtp(_z_monomial(z)),
                 200,
             )
         )
@@ -512,9 +505,8 @@ def registry_catalog():
         recs.append(
             IdentityRecord(
                 "CRANK_%d" % i,
-                "crank generating function at z = %s * q^(%d/24), base q^%d"
-                % (z.const.to_text(), z.pow, m),
-                _b_crank(z, m),
+                "crank generating function at z = %s, base q^%d" % (_z_text(z), m),
+                _b_crank(_z_monomial(z), m),
                 200,
             )
         )
@@ -522,9 +514,8 @@ def registry_catalog():
         recs.append(
             IdentityRecord(
                 "THETAID_%d" % i,
-                "two-variable theta identity at z = %s * q^(%d/24)"
-                % (z.const.to_text(), z.pow),
-                _b_thetaid(z),
+                "two-variable theta identity at z = %s" % _z_text(z),
+                _b_thetaid(_z_monomial(z)),
                 200,
             )
         )

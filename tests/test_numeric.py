@@ -14,8 +14,8 @@ from mockq.numeric import (
     R_num,
     beta_num,
     eichler_gab,
+    eichler_integral,
     eta_num,
-    g012_num,
     g_ab_num,
     mordell_j,
     mu_num,
@@ -25,9 +25,9 @@ from mockq.numeric import (
     run_check,
     theta_num,
     _g_ab_smart,
-    _g_eval,
     _gab_terms,
 )
+from oracles import eichler_quad_from_taubar, g012_num, g_eval, mordell_j_grid
 
 SC = NumericScene(0.25 + 1j)
 
@@ -126,24 +126,32 @@ def test_g012_hooks():
 
 def test_eichler_termwise_vs_quadrature():
     a, b = 1 / 3, 0.0
-    tw = eichler_gab(a, b, SC, method="terms")
-    qd = eichler_gab(a, b, SC, method="quad")
+    tw = eichler_gab(a, b, SC)
+    qd = eichler_quad_from_taubar(lambda z: g_eval(_gab_terms(a, b), z), SC)
     assert abs(tw - qd) < 1e-9
+
+
+def test_eichler_sums_respect_the_scene_term_budget():
+    sc = NumericScene(0.25 + 1j, max_terms=5)
+    with pytest.raises(ConvergenceError):
+        eichler_gab(1 / 3, 0, sc)
+    with pytest.raises(ConvergenceError):
+        eichler_integral(0, sc)
 
 
 def test_g_eval_raises_when_the_term_budget_runs_out():
     # near the real axis 4000 terms do not reach the floor: no truncated sum
     with pytest.raises(ConvergenceError):
-        _g_eval(_gab_terms(1 / 3, 0.0), 1e-7j)
+        g_eval(_gab_terms(1 / 3, 0.0), 1e-7j)
     # within the budget the direct sum agrees with the modular inversion
-    value = _g_eval(_gab_terms(1 / 3, 0.0), 1e-3j)
+    value = g_eval(_gab_terms(1 / 3, 0.0), 1e-3j)
     assert abs(value - _g_ab_smart(1 / 3, 0.0, 1e-3j)) < 1e-12
 
 
 def test_mordell_quad_vs_grid():
     for idx in (1, 2, 3):
-        q1 = mordell_j(idx, NumericScene(1j), method="quad")
-        q2 = mordell_j(idx, NumericScene(1j), method="grid")
+        q1 = mordell_j(idx, NumericScene(1j))
+        q2 = mordell_j_grid(idx, NumericScene(1j))
         assert abs(q1 - q2) < 1e-9, idx
 
 

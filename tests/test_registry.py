@@ -19,6 +19,7 @@ def test_catalog_shape():
     for r in recs:
         assert r.default_order >= 200
         assert r.description
+        assert "0*z" not in r.description, r.id  # z prints as zeta24^k * q^(p/24)
 
 
 def test_all_records_pass_at_low_order():
