@@ -24,7 +24,8 @@ def main():
 
     print()
     r = run_check("watson-lemma", SCENES[1])
-    print("Mordell remainder vector:", r.detail)
+    print("Watson remainder 4 sqrt(3) sqrt(-i tau) (j2, -j1, j3) at tau = %s: residual %.3e"
+          % (r.tau, r.residual))
 
 
 if __name__ == "__main__":

@@ -214,9 +214,7 @@ def pochhammer_fin(a: Monomial, step: int, n: int, cap) -> QSeries:
 
 def jtp_product(z: Monomial, cap):
     """Both sides of (q^2, qz, q/z; q^2)_inf = sum (-1)^n z^n q^(n^2)."""
-    lhs = euler_E(2, cap)
-    lhs = lhs * pochhammer_inf(Monomial(z.const, 24 + z.pow), 48, lhs.cap)
-    lhs = lhs * pochhammer_inf(Monomial(z.const.inverse(), 24 - z.pow), 48, lhs.cap)
+    lhs = theta_Theta(Monomial(z.const, 24 + z.pow), 2, cap)
     return lhs.truncate(cap), theta_sum(z, lhs.cap).truncate(cap)
 
 

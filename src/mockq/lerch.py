@@ -259,14 +259,9 @@ def _vartheta_series(ap: Fraction, bp: Fraction, M: int, cap: int) -> QSeries:
     """vartheta(a'*tau + b'; M*tau) by the triple product, on the q-grid:
     -i Q^(1/8) zeta^(-1/2) prod (1-Q^n)(1-zeta Q^(n-1))(1-zeta^-1 Q^n),
     Q = q^M, zeta = e^(2 pi i b') q^(a')."""
-    g = 24 * M
-    ap_grid = int(24 * ap)
-    zc = exp_pi_i(2 * bp)
     const = Cyc24(-1) * zeta_pow(6) * exp_pi_i(-bp)
     sh = 3 * M - 12 * ap
     if sh.denominator != 1:
         raise GridError("vartheta prefactor off grid")
-    out = euler_E(M, cap)
-    out = out * pochhammer_inf(Monomial(zc, ap_grid), g, out.cap)
-    out = out * pochhammer_inf(Monomial(zc.inverse(), g - ap_grid), g, out.cap)
+    out = theta_Theta(Monomial(exp_pi_i(2 * bp), int(24 * ap)), M, cap)
     return out.scale(const).shift(int(sh))

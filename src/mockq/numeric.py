@@ -15,12 +15,14 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 from scipy import integrate, special
 
 from .errors import ConvergenceError, PoleError
 from .mocktheta import f_eulerian, omega_eulerian
+from .registry import NEWF_ETA, NEWOMEGA2_ETA, NEWOMEGA_ETA, _catalog_map
 
 __all__ = [
     "NumericScene",
@@ -60,13 +62,14 @@ class NumericScene:
     series_term_floor: float = 1e-18
     quad_rel_tol: float = 1e-12
     max_terms: int = 4000
-    max_quad_refinements: int = 50
 
     def __post_init__(self):
         if not (self.tau.imag > 0):
             raise ValueError("scene needs Im(tau) > 0")
         if min(self.abs_tol, self.series_term_floor, self.quad_rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
+        if self.series_term_floor >= 1:
+            raise ValueError("series_term_floor must be below 1")
 
     def at(self, tau) -> "NumericScene":
         return replace(self, tau=complex(tau))
@@ -101,6 +104,32 @@ def qseries_eval(series, tau) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# truncation windows
+
+
+def _window(sc, rate, slope, start=0.0, per=2, first=1, pre=1.0) -> int:
+    """Last index M to sum of a series whose terms past M all lie below the
+    scene's series_term_floor.
+
+    The caller bounds every term at an index m > start by
+    pre * exp(-(rate*x^2 - slope*x)) for some x >= m.  That bound falls below
+    the floor once x passes the larger root of rate*x^2 - slope*x =
+    ln(pre/floor), and keeps falling, so M = max(ceil(start), floor(root)).
+    Index 0 holds `first` summands and every later index `per`; a window of
+    more than sc.max_terms summands raises ConvergenceError before anything
+    is summed."""
+    log_floor = math.log(pre / sc.series_term_floor)
+    root = 2 * log_floor / (math.sqrt(slope * slope + 4 * rate * log_floor) - slope)
+    M = max(math.ceil(start), math.floor(root))
+    if first + per * M > sc.max_terms:
+        raise ConvergenceError(
+            "the series needs %d terms to fall below %g; max_terms is %d"
+            % (first + per * M, sc.series_term_floor, sc.max_terms)
+        )
+    return M
+
+
+# ---------------------------------------------------------------------------
 # eta and theta
 
 
@@ -108,13 +137,13 @@ def eta_num(scene) -> complex:
     sc = _coerce(scene)
     q = cmath.exp(_TWO_PI_I * sc.tau)
     out = cmath.exp(_TWO_PI_I * sc.tau / 24)
+    # |q^n| = e^(-2 pi y n): the factors (1 - q^n) with |q^n| >= floor
+    M = _window(sc, 0.0, -2 * math.pi * sc.tau.imag, per=1, first=0)
     qn = q
-    for _ in range(sc.max_terms):
+    for _ in range(M):
         out *= 1 - qn
         qn *= q
-        if abs(qn) < sc.series_term_floor:
-            return out
-    raise ConvergenceError("eta product did not reach the term floor")
+    return out
 
 
 def theta_num(z, scene) -> complex:
@@ -122,20 +151,15 @@ def theta_num(z, scene) -> complex:
     exp(pi*i*n^2*tau + 2*pi*i*n*(z+1/2))."""
     sc = _coerce(scene)
     z = complex(z)
+    # |term| <= e^(-(pi y x^2 - 2 pi |Im z| x)) with x = |n| = m + 1/2
+    M = _window(sc, math.pi * sc.tau.imag, 2 * math.pi * abs(z.imag), first=2)
     out = 0j
-    small = 0
-    for m in range(sc.max_terms):
+    for m in range(M + 1):
         t = 0j
         for n in (m + 0.5, -m - 0.5):
             t += cmath.exp(1j * math.pi * n * n * sc.tau + _TWO_PI_I * n * (z + 0.5))
         out += t
-        if abs(t) < sc.series_term_floor:
-            small += 1
-            if small >= 3:
-                return out
-        else:
-            small = 0
-    raise ConvergenceError("theta series did not reach the term floor")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +192,15 @@ def mu_num(u, v, scene) -> complex:
     u = complex(u)
     v = complex(v)
     tau = sc.tau
+    y = tau.imag
+    # once |n| y > |Im u| + 1 the denominator exceeds half of 1 or of its
+    # exponential, so |term| <= pre * e^(-(pi y x^2 - (pi y + 2 pi |Im v|) x))
+    # with x = |n| = m and pre = 2 e^(2 pi |Im u|)
+    pre = 2 * math.exp(2 * math.pi * abs(u.imag))
+    slope = math.pi * y + 2 * math.pi * abs(v.imag)
+    M = _window(sc, math.pi * y, slope, (abs(u.imag) + 1) / y, pre=pre)
     total = 0j
-    small = 0
-    for m in range(sc.max_terms):
+    for m in range(M + 1):
         t = 0j
         for n in ((m, -m) if m else (0,)):
             num = (-1) ** (n & 1) * cmath.exp(
@@ -181,14 +211,6 @@ def mu_num(u, v, scene) -> complex:
                 raise PoleError("mu denominator vanishes at n=%d" % n)
             t += num / den
         total += t
-        if abs(t) < sc.series_term_floor:
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError("mu series did not reach the term floor")
     th = theta_num(v, sc)
     if abs(th) < 1e-14:
         raise PoleError("vartheta(v; tau) vanishes")
@@ -205,9 +227,12 @@ def R_num(u, scene) -> complex:
     y = tau.imag
     a = u.imag / y
     s2y = math.sqrt(2 * y)
+    # once n and n+a share a sign (m >= |a|), |sgn(n) - E((n+a) sqrt(2y))| <=
+    # e^(-2 pi y (n+a)^2), so |term| <= e^(-pi y (n+a)^2) <= e^(-(pi y x^2 - 2 pi y |a| x))
+    # with x = |n| = m + 1/2
+    M = _window(sc, math.pi * y, 2 * math.pi * y * abs(a), abs(a), first=2)
     out = 0j
-    small = 0
-    for m in range(sc.max_terms):
+    for m in range(M + 1):
         t = 0j
         for n in (m + 0.5, -m - 0.5):
             w = (1.0 if n > 0 else -1.0) - float(special.erf(math.sqrt(math.pi) * (n + a) * s2y))
@@ -216,13 +241,7 @@ def R_num(u, scene) -> complex:
             sgn = -1 if round(n - 0.5) % 2 else 1
             t += w * sgn * cmath.exp(-1j * math.pi * n * n * tau - _TWO_PI_I * n * u)
         out += t
-        if abs(t) < sc.series_term_floor and m > abs(a) + 1:
-            small += 1
-            if small >= 3:
-                return out
-        else:
-            small = 0
-    raise ConvergenceError("R series did not reach the term floor")
+    return out
 
 
 def mu_tilde_num(u, v, scene) -> complex:
@@ -262,25 +281,22 @@ def mu_tilde_modular_check(gamma, u, v, scene) -> float:
 def g_ab_num(a, b, scene) -> complex:
     """g_{a,b}(tau) = sum over n in a+Z of n e^(pi i n^2 tau + 2 pi i n b)."""
     sc = _coerce(scene)
-    return _g_ab_sum(float(a), float(b), sc.tau, sc.series_term_floor, sc.max_terms)
+    return _g_ab_sum(float(a), float(b), sc)
 
 
-def _g_ab_sum(a, b, tau, floor=1e-18, max_terms=4000) -> complex:
+def _g_ab_sum(a, b, sc) -> complex:
+    # n = a +- m has n^2 >= m^2 - 2|a|m and, for m >= |a|, |n| <= 2m <= e^m,
+    # so |term| <= e^(-(pi y m^2 - (2 pi y |a| + 1) m))
+    tau = sc.tau
+    M = _window(sc, math.pi * tau.imag, 2 * math.pi * tau.imag * abs(a) + 1, abs(a))
     out = 0j
-    small = 0
-    for m in range(max_terms):
+    for m in range(M + 1):
         t = 0j
         for n in ((a + m, a - m) if m else (a,)):
             if n:
                 t += n * cmath.exp(1j * math.pi * n * n * tau + _TWO_PI_I * n * b)
         out += t
-        if abs(t) < floor and m > abs(a) + 1:
-            small += 1
-            if small >= 3:
-                return out
-        else:
-            small = 0
-    raise ConvergenceError("g_{a,b} series did not reach the term floor")
+    return out
 
 
 # the g_{a,b} hooks: g2(z) = g_{1/3,0}(3z), g1(z) = -g_{1/6,0}(3z),
@@ -331,14 +347,10 @@ def _eichler_terms_from_taubar(terms, scene) -> complex:
 
     with tau = x + i y (erfcx keeps the e^(pi lam y) * beta(2 lam y) product
     finite for large lam)."""
-    sc = _coerce(scene)
-    x = sc.tau.real
-    y = sc.tau.imag
+    x = scene.tau.real
+    y = scene.tau.imag
     out = 0j
-    small = 0
-    for k, (lam, coef) in enumerate(terms):
-        if k >= sc.max_terms:
-            raise ConvergenceError("Eichler term sum did not reach the floor")
+    for lam, coef in terms:
         if lam <= 0 or coef == 0:
             continue
         t = (
@@ -350,12 +362,6 @@ def _eichler_terms_from_taubar(terms, scene) -> complex:
             / math.sqrt(lam)
         )
         out += t
-        if abs(t) < sc.series_term_floor:
-            small += 1
-            if small >= 4:
-                return out
-        else:
-            small = 0
     return out
 
 
@@ -364,13 +370,13 @@ def _g_ab_smart(a, b, w) -> complex:
     for Im(w) large, the modular inversion g_{a,b}(w) =
     i e^(2 pi i a b) (i/w)^(3/2) g_{b,-a}(-1/w) near the real axis."""
     if w.imag >= 0.5:
-        return _g_ab_sum(a, b, w)
+        return _g_ab_sum(a, b, NumericScene(w))
     t2 = -1 / w
     return (
         1j
         * cmath.exp(_TWO_PI_I * a * b)
         * (-1j * t2) ** 1.5
-        * _g_ab_sum(b, -a, t2)
+        * _g_ab_sum(b, -a, NumericScene(t2))
     )
 
 
@@ -387,7 +393,7 @@ def _g012_smart(idx, z) -> complex:
     return c * _g_ab_smart(a, b, 3 * z)
 
 
-def _eichler_terms_from_zero(terms, scene, g_eval) -> complex:
+def _eichler_terms_from_zero(terms, scene, g_eval, c) -> complex:
     """integral from 0 to i*infinity of g(z)/sqrt(-i(z+tau)) dz, split at
     z = i*c: adaptive quadrature below (with g evaluated through its modular
     inversion near 0, where the direct series converges too slowly) and a
@@ -396,51 +402,49 @@ def _eichler_terms_from_zero(terms, scene, g_eval) -> complex:
         integral from ic of coef e^(pi i lam z)/sqrt(-i(z+tau)) dz
           = i coef e^(-pi lam c) e^(w0) Gamma(1/2, w0) / sqrt(pi lam),
         w0 = pi lam (c - i tau)."""
-    sc = _coerce(scene)
-    tau = sc.tau
-    c = min(1.0, tau.imag)
+    tau = scene.tau
     out = 0j
-    small = 0
-    for k, (lam, coef) in enumerate(terms):
-        if k >= sc.max_terms:
-            raise ConvergenceError("Eichler term sum did not reach the floor")
+    for lam, coef in terms:
         if lam <= 0 or coef == 0:
             continue
         w0 = mpmath.mpc(math.pi * lam * (c - 1j * tau))
         t = complex(mpmath.exp(w0) * mpmath.gammainc(0.5, w0))
         t = 1j * coef * math.exp(-math.pi * lam * c) / math.sqrt(math.pi * lam) * t
         out += t
-        if abs(t) < sc.series_term_floor:
-            small += 1
-            if small >= 4:
-                break
-        else:
-            small = 0
 
     def f(t, part):
         val = 1j * g_eval(1j * t) / cmath.sqrt(t - 1j * tau) if t > 0 else 0j
         return val.real if part == 0 else val.imag
 
-    re, _ = integrate.quad(f, 0, c, args=(0,), epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400)
-    im, _ = integrate.quad(f, 0, c, args=(1,), epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400)
+    re, _ = integrate.quad(f, 0, c, args=(0,), epsabs=1e-13, epsrel=scene.quad_rel_tol, limit=400)
+    im, _ = integrate.quad(f, 0, c, args=(1,), epsabs=1e-13, epsrel=scene.quad_rel_tol, limit=400)
     return out + complex(re, im)
 
 
 def eichler_gab(a, b, scene) -> complex:
     """integral from -conj(tau) to i*infinity of g_{a,b}(z)/sqrt(-i(z+tau)) dz."""
-    return _eichler_terms_from_taubar(_gab_terms(a, b), _coerce(scene))
+    sc = _coerce(scene)
+    # |coef| = sqrt(lam) and erfcx <= 1, so |term| <= e^(-pi y n^2), and n = a +- m
+    # has n^2 >= m^2 - 2|a|m
+    M = _window(sc, math.pi * sc.tau.imag, 2 * math.pi * sc.tau.imag * abs(a))
+    return _eichler_terms_from_taubar(islice(_gab_terms(a, b), 2 * M + 1), sc)
 
 
 def eichler_integral(idx, scene, lower="taubar") -> complex:
     """integral of g_idx(z)/sqrt(-i(z+tau)) dz along the vertical path from
     -conj(tau) (lower="taubar") or from 0 (lower="zero") to i*infinity."""
     sc = _coerce(scene)
-    terms = _g012_terms(idx)
+    if lower not in ("taubar", "zero"):
+        raise ValueError("lower must be 'taubar' or 'zero'")
+    c = min(1.0, sc.tau.imag)
+    # pair m has lam = 3 r^2 with |r| >= m and |coef| = |r|: |term| <= e^(-3 pi y r^2)
+    # from -conj(tau), and e^(-3 pi c r^2) from 0, whose term sum starts at i*c
+    rate = 3 * math.pi * (sc.tau.imag if lower == "taubar" else c)
+    M = _window(sc, rate, 0.0, first=2)
+    terms = islice(_g012_terms(idx), 2 * M + 2)
     if lower == "taubar":
         return _eichler_terms_from_taubar(terms, sc)
-    if lower == "zero":
-        return _eichler_terms_from_zero(terms, sc, lambda z: _g012_smart(idx, z))
-    raise ValueError("lower must be 'taubar' or 'zero'")
+    return _eichler_terms_from_zero(terms, sc, lambda z: _g012_smart(idx, z), c)
 
 
 # ---------------------------------------------------------------------------
@@ -539,22 +543,12 @@ def R_vec_theta(scene):
     return tuple(c * eichler_integral(i, sc, lower="zero") for i in range(3))
 
 
-_J_ASSIGNMENTS = {
-    "(j1,-j1,j3)": (1, -1, 3),
-    "(j1,-j2,j3)": (1, -2, 3),
-    "(j2,-j1,j3)": (2, -1, 3),
-}
-
-
-def R_vec_mordell(scene, assignment="(j1,-j2,j3)"):
+def R_vec_mordell(scene):
     """Watson remainder via Mordell integrals,
-    R(tau) = 4 sqrt(3) sqrt(-i tau) * (signed j-vector)."""
+    R(tau) = 4 sqrt(3) sqrt(-i tau) * (j2, -j1, j3)."""
     sc = _coerce(scene)
     pre = 4 * _SQRT3 * cmath.sqrt(-1j * sc.tau)
-    idxs = _J_ASSIGNMENTS[assignment]
-    return tuple(
-        pre * (1 if i > 0 else -1) * mordell_j(abs(i), sc) for i in idxs
-    )
+    return (pre * mordell_j(2, sc), -pre * mordell_j(1, sc), pre * mordell_j(3, sc))
 
 
 # ---------------------------------------------------------------------------
@@ -702,20 +696,12 @@ def _check_rext(sc):
     return abs(lhs - rhs), ""
 
 
-def _best_assignment(target, sc):
-    best = None
-    details = []
-    for name in _J_ASSIGNMENTS:
-        vec = R_vec_mordell(sc, name)
-        res = max(abs(x - t) for x, t in zip(vec, target))
-        details.append("%s: %.3e" % (name, res))
-        if best is None or res < best[1]:
-            best = (name, res)
-    return best[1], "winner %s [%s]" % (best[0], "; ".join(details))
+def _mordell_residual(target, sc):
+    return max(abs(x - t) for x, t in zip(R_vec_mordell(sc), target)), ""
 
 
 def _check_lemma33(sc):
-    return _best_assignment(R_vec_theta(sc), sc)
+    return _mordell_residual(R_vec_theta(sc), sc)
 
 
 def _check_watson_lemma(sc):
@@ -723,7 +709,7 @@ def _check_watson_lemma(sc):
     lhs = tuple(pre * x for x in F_num(sc.at(-1 / sc.tau)))
     ms = _mat_S(F_num(sc))
     target = tuple(a - b for a, b in zip(lhs, ms))
-    return _best_assignment(target, sc)
+    return _mordell_residual(target, sc)
 
 
 def _check_s_transform(sc):
@@ -744,8 +730,6 @@ _CONSISTENCY_ORDER = 200
 
 def _consistency(rec_id, numeric_rhs):
     def run(sc):
-        from .registry import _catalog_map
-
         rec = _catalog_map()[rec_id]
         pairs = rec.builder(24 * _CONSISTENCY_ORDER + 24)
         lhs_s, rhs_s = pairs[0]
@@ -757,10 +741,10 @@ def _consistency(rec_id, numeric_rhs):
     return run
 
 
-def _eta_quot(factors, sc):
-    """prod eta(m*tau)^r over the (m, r) pairs of an EtaQuotientSpec."""
+def _eta_quot(spec, sc):
+    """prod eta(m*tau)^r over the (m, r) factors of an EtaQuotientSpec."""
     out = 1.0 + 0j
-    for m, r in factors:
+    for m, r in spec.factors:
         out *= eta_num(sc.at(float(m) * sc.tau)) ** r
     return out
 
@@ -768,7 +752,7 @@ def _eta_quot(factors, sc):
 def _numeric_newomega(sc):
     tau = sc.tau
     c0 = -2j / _SQRT3
-    quot = _eta_quot(((1, 2), (4, 2), (2, -2), (6, -1)), sc)
+    quot = _eta_quot(NEWOMEGA_ETA, sc)
     mu = mu_num(tau + 0.5, 1.0 / 3, sc.at(2 * tau))
     pre = (4 / _SQRT3) * cmath.exp(-1j * math.pi / 6) * cmath.exp(-_TWO_PI_I * tau / 4)
     return c0 - (2.0 / 3) * quot - pre * mu
@@ -777,7 +761,7 @@ def _numeric_newomega(sc):
 def _numeric_newomega2(sc):
     tau = sc.tau
     c0 = -2j / _SQRT3
-    quot = _eta_quot(((2, 4), (6, -1), (1, -2)), sc)
+    quot = _eta_quot(NEWOMEGA2_ETA, sc)
     mu = mu_num(tau - 2.0 / 3, -1.0 / 3, sc.at(2 * tau))
     pre = (4 / _SQRT3) * cmath.exp(1j * math.pi / 3) * cmath.exp(-_TWO_PI_I * tau / 4)
     return c0 + (2.0 / 3) * quot - pre * mu
@@ -788,7 +772,7 @@ def _numeric_newf(sc):
     # eta-quotient's q^(-1/8) and scales the mu term
     tau = sc.tau
     q18 = cmath.exp(_TWO_PI_I * tau / 8)
-    quot = _eta_quot(((1, 4), (3, -1), (2, -2)), sc)
+    quot = _eta_quot(NEWF_ETA, sc)
     mu = mu_num(-0.5, -1.0 / 3, sc)
     return (1.0 / 3) * q18 * quot + q18 * (4j / _SQRT3) * mu
 

@@ -477,30 +477,23 @@ class QSeries:
         return QSeries(low, cap, self._scaled_comps(-c, self.low + p - low, n, acc))
 
     def div_binomial(self, const, p):
-        """Divide by (1 - const*q^(p/24)) with p > 0 (geometric recurrence)."""
+        """Divide by (1 - const*q^(p/24)) with p > 0: a recurrence on the
+        integer numerators for an integer const, else a product with the
+        geometric series."""
         if p <= 0:
             raise ValueError("div_binomial needs p > 0")
         c = const if isinstance(const, Cyc24) else Cyc24(const)
-        if c.is_rational():
-            r = c.as_rational()
+        if c.is_rational() and c.as_rational().denominator == 1:
+            rn = c.as_rational().numerator
             acc = {}
             n = self.cap - self.low
             for k, (d, nums) in self.comps.items():
                 out = list(nums)
-                den = d
-                if r.denominator == 1:
-                    rn = r.numerator
-                    for i in range(p, n):
-                        out[i] += rn * out[i - p]
-                else:
-                    fr = [Fraction(v, d) for v in nums]
-                    for i in range(p, n):
-                        fr[i] += r * fr[i - p]
-                    den = lcm(*(f.denominator for f in fr)) if fr else 1
-                    out = [int(f * den) for f in fr]
-                acc[k] = (den, out)
+                for i in range(p, n):
+                    out[i] += rn * out[i - p]
+                acc[k] = (d, out)
             return QSeries(self.low, self.cap, acc)
-        # general Cyc24 ratio: multiply by the geometric series in const*q^p
+        # any other ratio: multiply by the geometric series in const*q^p
         geo_len = self.cap - self.low
         terms = []
         e = 0

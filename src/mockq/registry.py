@@ -46,6 +46,11 @@ _F = Fraction
 _MINUS_2I_OVER_SQRT3 = (Cyc24(2) - 4 * zeta_pow(4)) * Cyc24(_F(1, 3))
 _SQRT3 = 2 * zeta_pow(2) - zeta_pow(6)
 
+# eta quotients of the NEWOMEGA, NEWOMEGA2 and NEWF right sides, shared with numeric
+NEWOMEGA_ETA = EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)])
+NEWOMEGA2_ETA = EtaQuotientSpec([(2, 4), (6, -1), (1, -2)])
+NEWF_ETA = EtaQuotientSpec([(1, 4), (3, -1), (2, -2)])
+
 
 @dataclass(frozen=True)
 class IdentityRecord:
@@ -102,7 +107,7 @@ def _omega_q3_shifted(cap):
 
 
 def _newomega_rhs(cap):
-    etaq = eta_quotient(EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)]), cap)
+    etaq = eta_quotient(NEWOMEGA_ETA, cap)
     spec = LerchSpec(A=1, B=1, rho_const=zeta_pow(8), c_const=-1, D=2, E=1)
     mus = lerch_expand(spec, cap) * euler_E_inv(6, cap)
     return (
@@ -117,7 +122,7 @@ def _b_newomega(cap):
 
 
 def _newomega2_rhs(cap):
-    etaq = eta_quotient(EtaQuotientSpec([(2, 4), (6, -1), (1, -2)]), cap)
+    etaq = eta_quotient(NEWOMEGA2_ETA, cap)
     spec = LerchSpec(A=1, B=1, rho_const=zeta_pow(16), c_const=zeta_pow(8), D=2, E=1)
     mus = lerch_expand(spec, cap) * euler_E_inv(6, cap)
     return (
@@ -138,7 +143,7 @@ def _b_newomega2_from_twist(cap):
 def _b_newf(cap):
     # both sides multiplied by q^(1/8) (grid shift +3) to clear the fractional low
     lhs = f_eulerian((cap + 71) // 3 + 1).compose_power(3).truncate(cap)
-    etaq = eta_quotient(EtaQuotientSpec([(1, 4), (3, -1), (2, -2)]), cap + 3).shift(3)
+    etaq = eta_quotient(NEWF_ETA, cap + 3).shift(3)
     spec = LerchSpec(A=_F(1, 2), B=_F(1, 2), rho_const=zeta_pow(16), c_const=-1, D=1, E=0)
     mus = lerch_expand(spec, cap) * euler_E_inv(3, cap)
     rhs = etaq.scale(_F(1, 3)).truncate(cap) + mus.scale(_F(4, 3)).truncate(cap)
@@ -193,9 +198,7 @@ def _b_eta3diss(cap):
 
 
 def _b_eta3diss_components(cap):
-    lhs = eta_quotient(
-        EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)]), 3 * cap + 72
-    )
+    lhs = eta_quotient(NEWOMEGA_ETA, 3 * cap + 72)
     e0, e1, e2 = e_quotients(cap)
     return [
         (lhs.dissect(3, 0).truncate(cap), e0),
@@ -271,7 +274,7 @@ def _b_newomid(cap):
     # after tau -> 6*tau: 2 q^2 omega(q^3) = (2/3) eta(2t)^4/(eta(6t) eta(t)^2)
     #   - (4/sqrt3) q^(-1/4) e^(pi i/3) mu(t - 2/3, -1/3; 2t) - 2i/sqrt3
     mu = mu_formal((1, _F(-2, 3)), (0, _F(-1, 3)), 2, cap + 6)
-    etaq = eta_quotient(EtaQuotientSpec([(2, 4), (6, -1), (1, -2)]), cap)
+    etaq = eta_quotient(NEWOMEGA2_ETA, cap)
     rhs = (
         etaq.scale(_F(2, 3))
         - mu.shift(-6).scale(exp_pi_i(_F(1, 3)) * _SQRT3.inverse() * 4).truncate(cap)
@@ -284,7 +287,7 @@ def _b_newomega_mu_form(cap):
     # 2 q^2 omega(-q^3) = -2i/sqrt3 - (2/3) E(q)^2 E(q^4)^2/(E(q^2)^2 E(q^6))
     #   - (4/sqrt3) q^(-1/4) e^(-pi i/6) mu(tau+1/2, 1/3; 2 tau)
     mu = mu_formal((1, _F(1, 2)), (0, _F(1, 3)), 2, cap + 6)
-    etaq = eta_quotient(EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)]), cap)
+    etaq = eta_quotient(NEWOMEGA_ETA, cap)
     rhs = (
         QSeries.monomial(_MINUS_2I_OVER_SQRT3, 0, cap)
         - etaq.scale(_F(2, 3))
@@ -297,7 +300,7 @@ def _b_newf_mu_form(cap):
     # q^(-1/24) f(q) = eta(t/3)^4/(3 eta(t) eta(2t/3)^2) + (4i/sqrt3) mu(-1/2,-1/3;t/3)
     # stated after t -> 3t so everything lives on the grid; x q^(1/8) normalization
     mu = mu_formal((0, _F(-1, 2)), (0, _F(-1, 3)), 1, cap)
-    etaq = eta_quotient(EtaQuotientSpec([(1, 4), (3, -1), (2, -2)]), cap + 3).shift(3)
+    etaq = eta_quotient(NEWF_ETA, cap + 3).shift(3)
     coef = zeta_pow(6) * _SQRT3.inverse() * 4
     rhs = etaq.scale(_F(1, 3)).truncate(cap) + mu.scale(coef).shift(3).truncate(cap)
     lhs = f_eulerian((cap + 71) // 3 + 1).compose_power(3).truncate(cap)

@@ -29,7 +29,7 @@ def _traced_pass(workload):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload", ["deep", "catalog"])
+@pytest.mark.parametrize("workload", ["deep", "catalog", "battery"])
 def test_traced_pass_holds_the_benchmark_checks(workload):
     out = _traced_pass(workload)
     assert out["self_check"] == []

@@ -3,6 +3,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from mockq.errors import ConvergenceError, PoleError
@@ -12,6 +13,8 @@ from mockq.numeric import (
     F_num,
     NumericScene,
     R_num,
+    R_vec_mordell,
+    SCENES,
     beta_num,
     eichler_gab,
     eichler_integral,
@@ -37,6 +40,9 @@ def test_scene_validation():
         NumericScene(0.5 - 1j)
     with pytest.raises(ValueError):
         NumericScene(1j, abs_tol=-1)
+    # the truncation windows solve for terms below the floor
+    with pytest.raises(ValueError):
+        NumericScene(1j, series_term_floor=1.0)
 
 
 def test_E_and_beta_special_values():
@@ -131,12 +137,42 @@ def test_eichler_termwise_vs_quadrature():
     assert abs(tw - qd) < 1e-9
 
 
-def test_eichler_sums_respect_the_scene_term_budget():
-    sc = NumericScene(0.25 + 1j, max_terms=5)
+U, V = 0.3 + 0.2j, 0.05 + 0.3j
+
+# every series that sums over a window solved from its Gaussian envelope
+WINDOWED = {
+    "eta_num": eta_num,
+    "theta_num": lambda sc: theta_num(V, sc),
+    "mu_num": lambda sc: mu_num(U, V, sc),
+    "R_num": lambda sc: R_num(U, sc),
+    "R_num-wide": lambda sc: R_num(U + sc.tau, sc),
+    "g_ab_num": lambda sc: g_ab_num(0.3, 0.45, sc),
+    "eichler_gab": lambda sc: eichler_gab(1 / 3, 0, sc),
+    "eichler_integral-taubar": lambda sc: eichler_integral(0, sc),
+    "eichler_integral-zero": lambda sc: eichler_integral(1, sc, lower="zero"),
+}
+
+
+@pytest.mark.parametrize("series", WINDOWED)
+def test_series_respect_the_scene_term_budget(series):
+    # every window at this scene holds more than 5 summands
     with pytest.raises(ConvergenceError):
-        eichler_gab(1 / 3, 0, sc)
-    with pytest.raises(ConvergenceError):
-        eichler_integral(0, sc)
+        WINDOWED[series](NumericScene(0.25 + 1j, max_terms=5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    re=st.floats(min_value=-0.5, max_value=0.5),
+    im=st.floats(min_value=0.2, max_value=2.0),
+)
+# at Im(tau) = 5 the windows shrink to one or two indices
+@example(re=0.1, im=5.0)
+def test_windows_hold_at_a_lower_floor(re, im):
+    sc = NumericScene(complex(re, im))
+    deep = NumericScene(sc.tau, series_term_floor=1e-30)
+    for name, value_at in WINDOWED.items():
+        value = value_at(sc)
+        assert abs(value - value_at(deep)) <= 1e-15 * max(1.0, abs(value)), (name, sc.tau)
 
 
 def test_g_eval_raises_when_the_term_budget_runs_out():
@@ -185,6 +221,23 @@ def test_each_check_passes_at_default_scene(name):
     assert r.passed, (name, r.residual, r.detail)
 
 
+def _watson_remainder(sc):
+    """(-i tau)^(-1/2) F(-1/tau) - S F(tau), the remainder in Watson's
+    transformation; S swaps the first two entries and negates the third."""
+    pre = 1 / cmath.sqrt(-1j * sc.tau)
+    f_s, f = F_num(sc.at(-1 / sc.tau)), F_num(sc)
+    return (pre * f_s[0] - f[1], pre * f_s[1] - f[0], pre * f_s[2] + f[2])
+
+
 def test_watson_assignment_reported():
-    r = run_check("watson-lemma", SC)
-    assert "winner (j2,-j1,j3)" in r.detail
+    # R(tau) = 4 sqrt(3) sqrt(-i tau) (j2, -j1, j3); the swapped vector
+    # (j1, -j2, j3) agrees with it only at tau = i
+    for sc in SCENES:
+        target = _watson_remainder(sc)
+        miss = max(abs(x - t) for x, t in zip(R_vec_mordell(sc), target))
+        assert miss < 1e-6, sc.tau
+        if sc.tau == 1j:
+            continue
+        pre = 4 * math.sqrt(3) * cmath.sqrt(-1j * sc.tau)
+        swapped = (pre * mordell_j(1, sc), -pre * mordell_j(2, sc), pre * mordell_j(3, sc))
+        assert max(abs(x - t) for x, t in zip(swapped, target)) > 1e-3, sc.tau
