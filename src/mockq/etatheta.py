@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .cyclotomic import Cyc24, ONE as CONE, exp_pi_i, zeta_pow
@@ -123,19 +124,6 @@ class EtaQuotientSpec:
             raise GridError("eta-quotient prefactor %s/24 off the grid" % tot)
         return int(tot)
 
-    def to_text(self) -> str:
-        num = [(m, r) for m, r in self.factors if r > 0]
-        den = [(m, -r) for m, r in self.factors if r < 0]
-
-        def fmt(m, r):
-            s = "eta(%s)" % m
-            return s if r == 1 else "%s^%d" % (s, r)
-
-        text = "*".join(fmt(m, r) for m, r in num) or "1"
-        for m, r in den:
-            text += "/" + fmt(m, r)
-        return text
-
 
 def e_product(factors, cap) -> QSeries:
     """prod E(q^m)^r over the (m, r) pairs; eta_quotient adds the
@@ -162,20 +150,27 @@ def pochhammer_inf(a: Monomial, step: int, cap) -> QSeries:
 
     Factors with negative exponent are normalized via
     1 - C*q^(-p) = -C*q^(-p) * (1 - C^(-1)*q^p).
+
+    Every factor exponent is a multiple of g = gcd(a.pow, step), so the
+    product is built in powers of q^(g/24) below ceil(cap/g) and spread back
+    onto the grid once.  A factor enters exactly when it would on the full
+    grid: e' < ceil(cap/g) holds if and only if e'*g < cap.
     """
     if step <= 0:
         raise GridError("pochhammer step must be positive")
+    g = gcd(a.pow, step)
+    p, st = a.pow // g, step // g
     # total q-shift contributed by the normalized negative-exponent factors
     shift_total = 0
-    e = a.pow
+    e = p
     while e < 0:
         shift_total += e
-        e += step
-    work_cap = cap - shift_total
+        e += st
+    work_cap = -(-cap // g) - shift_total
     out = QSeries.one(work_cap)
     k = 0
     while True:
-        e = a.pow + k * step
+        e = p + k * st
         if e >= work_cap:
             break
         if e > 0:
@@ -187,7 +182,7 @@ def pochhammer_inf(a: Monomial, step: int, cap) -> QSeries:
         else:
             out = out.scale(-a.const).mul_binomial(a.const.inverse(), -e)
         k += 1
-    return out.shift(shift_total)
+    return out.shift(shift_total)._stretched(g).truncate(cap)
 
 
 def pochhammer_fin(a: Monomial, step: int, n: int, cap) -> QSeries:
@@ -221,12 +216,15 @@ def jtp_product(z: Monomial, cap):
 def theta_sum(z: Monomial, cap) -> QSeries:
     """sum_{n in Z} (-1)^n z^n q^(n^2)."""
     terms = []
+    zinv = z.const.inverse()
+    pos = neg = CONE  # z^n and z^-n, one multiplication per step
     n = 0
     while 24 * n * n - n * abs(z.pow) < cap or n <= abs(z.pow) // 48 + 1:
-        for nn in (n, -n) if n else (0,):
+        if n:
+            pos, neg = pos * z.const, neg * zinv
+        for nn, c in ((n, pos), (-n, neg)) if n else ((0, CONE),):
             e = 24 * nn * nn + nn * z.pow
             if e < cap:
-                c = z.const**nn
                 terms.append((e, -c if nn % 2 else c))
         n += 1
     return QSeries.from_terms(terms, cap)

@@ -116,9 +116,13 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
     Each term n expands 1/(1 - c q^p) as a geometric tail.  When c^r = 1
     for some r <= 24 (every c of the catalog), the coefficients of a tail
     repeat with period r, so only its first r are multiplied out and the
-    rest reuse them cyclically; any other c keeps the multiply chain.
+    rest reuse them cyclically; any other c keeps the multiply chain.  The
+    term constants base^n are read off the orbit of base in the same way.
     """
     base = spec._base()
+    base_order = _root_order(base)
+    if base_order is not None:
+        base_orbit = _geometric_tail(CONE, base, base_order, base_order)
     N = _n_window(spec, cap)
     c = spec.c_const
     order = _root_order(c)
@@ -132,7 +136,7 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
         lowest = e0 if p >= 0 else e0 - p
         if lowest >= cap:
             continue
-        coef = base**n
+        coef = base**n if base_order is None else base_orbit[n % base_order]
         if p > 0:
             exps = range(e0, cap, p)
             terms += zip(exps, cycle(_geometric_tail(coef, c, order, len(exps))))

@@ -235,7 +235,10 @@ def R_num(u, scene) -> complex:
     for m in range(M + 1):
         t = 0j
         for n in (m + 0.5, -m - 0.5):
-            w = (1.0 if n > 0 else -1.0) - float(special.erf(math.sqrt(math.pi) * (n + a) * s2y))
+            # sgn(n) - erf(x) = sgn(n) * erfc(sgn(n) * x): no 1 - erf cancellation,
+            # whose error e^(pi y n^2) would then magnify
+            sg = 1.0 if n > 0 else -1.0
+            w = sg * float(special.erfc(sg * math.sqrt(math.pi) * (n + a) * s2y))
             if w == 0.0:
                 continue
             sgn = -1 if round(n - 0.5) % 2 else 1

@@ -27,7 +27,16 @@ The operations work on these component arrays directly:
 
 `lerch.lerch_expand` feeds `from_terms` with geometric tails whose
 coefficients it multiplies out only once per period when the ratio is a
-root of unity.
+root of unity; `from_terms` splits each distinct coefficient object into
+rational parts once per call, so a repeated Cyc24 costs one split.
+
+Storage stays on the full 1/24 grid, but the producers whose output sits on
+a coarser lattice g*Z run on every g-th slot and spread the result back
+once (`_spread`): `inv` runs its recurrence on the lattice of the series'
+support, `compose_power(k)` for integer k is one slice assignment per
+component (`_stretched`), `dissect` slices with stride 24*m, and
+`twist_minus_q` and the integer-exponent check work on 24-strided slices.
+`etatheta.pochhammer_inf` builds its product in q^(g/24) and stretches it.
 """
 
 from __future__ import annotations
@@ -195,6 +204,20 @@ def _place(nums, off, n):
     return out
 
 
+def _parts(c):
+    """(j, numerator, denominator) of each nonzero rational coefficient of
+    the Cyc24 c along the power basis."""
+    return [(j, x.numerator, x.denominator) for j, x in enumerate(c.c) if x]
+
+
+def _spread(nums, g, n):
+    """nums on every g-th slot of a zero list of length n; len(nums) must
+    be ceil(n/g)."""
+    out = [0] * n
+    out[::g] = nums
+    return out
+
+
 def _first_diff(xs, ys):
     """Index of the first entry where two equal-length lists differ, or None."""
     if xs == ys:
@@ -254,33 +277,39 @@ class QSeries:
 
     @classmethod
     def from_terms(cls, terms, cap):
-        """terms: iterable of (grid_exponent, coefficient)."""
-        by_comp = {}
-        lo = cap
+        """terms: iterable of (grid_exponent, coefficient).
+
+        Each distinct coefficient object is split into its (component,
+        numerator, denominator) parts once; the memo is keyed by object
+        identity and holds the object, so no key is reused during the call.
+        Geometric tails that repeat the same Cyc24 objects pay for their
+        Fractions once per distinct object, not once per term."""
+        memo = {}
         items = []
         for e, c in terms:
             if e >= cap:
                 continue
-            c = c if isinstance(c, Cyc24) else Cyc24(c)
-            if c:
-                items.append((e, c))
-                lo = min(lo, e)
+            hit = memo.get(id(c))
+            if hit is None:
+                hit = memo[id(c)] = (c, _parts(c if isinstance(c, Cyc24) else Cyc24(c)))
+            if hit[1]:
+                items.append((e, hit[1]))
         if not items:
             return cls.zero(cap)
+        lo = min(e for e, _ in items)
         n = cap - lo
         dens = {}
-        for e, c in items:
-            for k, ck in enumerate(c.c):
-                if ck:
-                    dens[k] = lcm(dens.get(k, 1), ck.denominator)
-        for k, d in dens.items():
-            by_comp[k] = (d, [0] * n)
-        for e, c in items:
-            for k, ck in enumerate(c.c):
-                if ck:
-                    d, nums = by_comp[k]
-                    nums[e - lo] += ck.numerator * (d // ck.denominator)
-        return cls(lo, cap, by_comp)
+        for _, parts in memo.values():
+            for k, _, den in parts:
+                dens[k] = lcm(dens.get(k, 1), den)
+        for _, parts in memo.values():
+            parts[:] = [(k, num * (dens[k] // den)) for k, num, den in parts]
+        by_comp = {k: [0] * n for k in dens}
+        for e, parts in items:
+            i = e - lo
+            for k, v in parts:
+                by_comp[k][i] += v
+        return cls(lo, cap, {k: (dens[k], nums) for k, nums in by_comp.items()})
 
     # -- inspection ------------------------------------------------------
 
@@ -414,18 +443,17 @@ class QSeries:
         c = const if isinstance(const, Cyc24) else Cyc24(const)
         if not c:
             return QSeries.zero(self.cap)
-        return QSeries(self.low, self.cap, self._scaled_comps(c, 0, self.cap - self.low, {}))
+        n = self.cap - self.low
+        return QSeries(self.low, self.cap, self._scaled_comps(_parts(c), 0, n, {}))
 
-    def _scaled_comps(self, c, off, n, acc):
-        """Add c * self, moved off slots right in a window of n, into acc.
+    def _scaled_comps(self, parts, off, n, acc):
+        """Add c * self, moved off slots right in a window of n, into acc,
+        where parts = _parts(c).
 
         Each rational part of c is one integer multiplier and one
         denominator.  A 24th root of unity is one or two parts +-z^j, each
         of which only permutes components and flips signs through _REDUCE."""
-        for j, cj in enumerate(c.c):
-            if not cj:
-                continue
-            num, den = cj.numerator, cj.denominator
+        for j, num, den in parts:
             for i, (d, nums) in self.comps.items():
                 placed = _place(nums, off, n)
                 for k, s in _REDUCE[i + j]:
@@ -474,7 +502,8 @@ class QSeries:
         acc = {}
         for k, (d, nums) in self.comps.items():
             _acc_add(acc, k, d, _place(nums, self.low - low, n), 1)
-        return QSeries(low, cap, self._scaled_comps(-c, self.low + p - low, n, acc))
+        parts = [(j, -num, den) for j, num, den in _parts(c)]
+        return QSeries(low, cap, self._scaled_comps(parts, self.low + p - low, n, acc))
 
     def div_binomial(self, const, p):
         """Divide by (1 - const*q^(p/24)) with p > 0: a recurrence on the
@@ -516,12 +545,17 @@ class QSeries:
         # fast path: single rational component with unit integer leading coeff
         if set(a.comps) == {0}:
             d, nums = a.comps[0]
-            if nums[0] in (1, -1) and len([v for v in nums if v]) <= 150:
-                out = [0] * n
+            support = list(compress(range(n), nums))
+            if nums[0] in (1, -1) and len(support) <= 150:
+                # the inverse lives on the lattice g*Z of the support, so the
+                # recurrence runs on every g-th slot only
+                g = gcd(*support) or n
+                xs = nums[::g]
+                out = [0] * len(xs)
                 s0 = nums[0]
                 out[0] = s0
-                nz = [(i, v) for i, v in enumerate(nums) if v and i > 0]
-                for m in range(1, n):
+                nz = [(i, v) for i, v in enumerate(xs) if v and i > 0]
+                for m in range(1, len(xs)):
                     s = 0
                     for i, v in nz:
                         if i > m:
@@ -529,7 +563,8 @@ class QSeries:
                         s += v * out[m - i]
                     out[m] = -s0 * s
                 # self = (1/d) * nums-series  =>  inverse = d * inv(nums-series)
-                return QSeries(0, n, {0: (1, [d * v for v in out])}).shift(-self.low)
+                out = _spread([d * v for v in out], g, n)
+                return QSeries(0, n, {0: (1, out)}).shift(-self.low)
         # Newton iteration: b <- b + b*(1 - a*b), doubling precision
         b = QSeries.monomial(lead.inverse(), 0, 1)
         prec = 1
@@ -562,6 +597,8 @@ class QSeries:
         k = Fraction(k)
         if k <= 0:
             raise GridError("compose_power needs k > 0")
+        if k.denominator == 1:
+            return self._stretched(int(k))
         new_low = ceil(self.low * k)
         new_cap = ceil(self.cap * k)
         n = new_cap - new_low
@@ -581,42 +618,61 @@ class QSeries:
             comps[comp] = (d, out)
         return QSeries(new_low, new_cap, comps)
 
+    def _stretched(self, g):
+        """q -> q^g for a positive integer g: every grid exponent times g,
+        one slice assignment per component."""
+        return QSeries(
+            self.low * g,
+            self.cap * g,
+            {k: (d, _spread(nums, g, g * len(nums))) for k, (d, nums) in self.comps.items()},
+            _trusted=True,
+        )
+
     def dissect(self, m, j):
         """Extract S_j with S_j(q^m)*q^j = (part of self supported on exponents
-        congruent to j mod m); requires integer exponents."""
+        congruent to j mod m); requires integer exponents.
+
+        The exponents 24*(j + m*t') are one slice of stride 24*m of each
+        component, spread back onto a stride of 24."""
         if not (0 <= j < m):
             raise ValueError("residue out of range")
         self._require_integer_exponents("dissect")
         T = (self.cap - 1) // 24  # largest fully-known integer exponent
         tp_max = (T - j) // m
         new_cap = 24 * (tp_max + 1)
-        terms = []
-        for e, c in self.nonzero_items():
-            t = e // 24
-            if t % m == j % m:
-                tp = (t - j) // m
-                terms.append((24 * tp, c))
-        return QSeries.from_terms(terms, new_cap)
+        tp0 = -((j - self.low // 24) // m)  # least t' with j + m*t' >= low/24
+        if not self.comps or tp0 > tp_max:
+            return QSeries.zero(new_cap)
+        start = 24 * (j + m * tp0) - self.low
+        n = new_cap - 24 * tp0
+        return QSeries(
+            24 * tp0,
+            new_cap,
+            {k: (d, _spread(nums[start :: 24 * m], 24, n)) for k, (d, nums) in self.comps.items()},
+        )
 
     def twist_minus_q(self):
         """Substitute q -> -q (integer exponents only)."""
         self._require_integer_exponents("q -> -q twist")
+        # whole powers q^t sit at slots r0 + 24*i; the odd t are every 48th
+        r0 = -self.low % 24
+        start = r0 + 24 * ((self.low + r0) // 24 % 2 == 0)
         comps = {}
         for k, (d, nums) in self.comps.items():
             out = list(nums)
-            for i in range(len(out)):
-                if (self.low + i) // 24 % 2:
-                    out[i] = -out[i]
+            out[start::48] = [-v for v in nums[start::48]]
             comps[k] = (d, out)
         return QSeries(self.low, self.cap, comps, _trusted=True)
 
     def _require_integer_exponents(self, what):
-        for k, (d, nums) in self.comps.items():
-            for i, v in enumerate(nums):
-                if v and (self.low + i) % 24:
-                    raise GridError(
-                        "%s needs integer exponents, found %d/24" % (what, self.low + i)
-                    )
+        r0 = -self.low % 24  # the slot of q^t for whole t, mod 24
+        for _, nums in self.comps.values():
+            bad = [s for s in range(24) if s != r0 and any(nums[s::24])]
+            if bad:
+                i = min(next(compress(range(s, len(nums), 24), nums[s::24])) for s in bad)
+                raise GridError(
+                    "%s needs integer exponents, found %d/24" % (what, self.low + i)
+                )
 
     # -- output ----------------------------------------------------------
 

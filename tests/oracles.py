@@ -11,15 +11,33 @@ take, so a test can compare the two:
   quadrature of the summed integrand, against the closed-form term sums of
   `numeric.eichler_gab` and `numeric.eichler_integral`;
 - `mordell_j_grid`: a Mordell integral by a fixed-step Simpson rule, against
-  the adaptive quadrature of `numeric.mordell_j`.
+  the adaptive quadrature of `numeric.mordell_j`;
+- `R_mpmath`: Zwegers' R(u; tau) summed at 60 digits straight from its
+  definition, against the double-precision `numeric.R_num`.
+
+The exact kernel runs its hot producers on each series' lattice; these
+full-grid versions of them are the references:
+
+- `from_terms_per_term`: `QSeries.from_terms` splitting every term's
+  coefficient into rationals anew, without the per-object memo;
+- `pochhammer_inf_dense`: the binomial chain of `etatheta.pochhammer_inf`
+  on the full 1/24 grid;
+- `inv_full_grid`: `QSeries.inv` with its recurrence over every grid slot;
+- `compose_power_loop`: q -> q^k one coefficient at a time;
+- `dissect_terms`: `QSeries.dissect` through `nonzero_items` and
+  `from_terms_per_term`.
 """
 
 import cmath
 import math
+from fractions import Fraction
+from math import ceil, lcm
 
+import mpmath
 from scipy import integrate
 
-from mockq.errors import ConvergenceError
+from mockq.cyclotomic import Cyc24, ONE
+from mockq.errors import ConvergenceError, GridError, NonInvertibleError
 from mockq.etatheta import _grid_mult
 from mockq.numeric import _coerce, _mordell_ratio
 from mockq.qseries import QSeries
@@ -118,3 +136,140 @@ def mordell_j_grid(idx, scene) -> complex:
     s += 4 * sum(vals[k] for k in range(1, n, 2))
     s += 2 * sum(vals[k] for k in range(2, n - 1, 2))
     return s * h / 3
+
+
+def R_mpmath(u, tau, dps=60) -> complex:
+    """R(u; tau) = sum over n in 1/2+Z of
+    (sgn(n) - E((n+a) sqrt(2y))) (-1)^(n-1/2) e^(-pi i n^2 tau - 2 pi i n u),
+    y = Im(tau), a = Im(u)/y, E(z) = erf(sqrt(pi) z), at dps digits.
+
+    sgn(n) - E cancels, and its absolute error (10^-dps) is magnified by
+    |e^(-pi i n^2 tau - 2 pi i n u)| = e^(pi y ((n+a)^2 - a^2)).  The sum
+    therefore keeps only the n with pi y (n+a)^2 <= 80: every term left out
+    is below e^-80, and no term kept carries an error above 10^-dps * e^80."""
+    with mpmath.workdps(dps):
+        u = mpmath.mpc(u)
+        tau = mpmath.mpc(tau)
+        y = tau.imag
+        a = u.imag / y
+        s2y = mpmath.sqrt(2 * y)
+        out = mpmath.mpc(0)
+        for k in range(-int(abs(a)) - 40, int(abs(a)) + 40):
+            n = k + mpmath.mpf(1) / 2
+            if mpmath.pi * y * (n + a) ** 2 > 80:
+                continue
+            w = (1 if n > 0 else -1) - mpmath.erf(mpmath.sqrt(mpmath.pi) * (n + a) * s2y)
+            sign = -1 if k % 2 else 1  # (-1)^(n - 1/2) with n - 1/2 = k
+            out += w * sign * mpmath.exp(-1j * mpmath.pi * n * n * tau - 2j * mpmath.pi * n * u)
+        return complex(out)
+
+
+# ---------------------------------------------------------------------------
+# full-grid references for the exact kernel
+
+
+def from_terms_per_term(terms, cap) -> QSeries:
+    """terms: iterable of (grid_exponent, coefficient), every coefficient
+    coerced and split on its own."""
+    items = []
+    for e, c in terms:
+        if e >= cap:
+            continue
+        c = c if isinstance(c, Cyc24) else Cyc24(c)
+        if c:
+            items.append((e, c))
+    if not items:
+        return QSeries.zero(cap)
+    lo = min(e for e, _ in items)
+    dens = {}
+    for _, c in items:
+        for k, ck in enumerate(c.c):
+            if ck:
+                dens[k] = lcm(dens.get(k, 1), ck.denominator)
+    by_comp = {k: (d, [0] * (cap - lo)) for k, d in dens.items()}
+    for e, c in items:
+        for k, ck in enumerate(c.c):
+            if ck:
+                d, nums = by_comp[k]
+                nums[e - lo] += ck.numerator * (d // ck.denominator)
+    return QSeries(lo, cap, by_comp)
+
+
+def pochhammer_inf_dense(a, step, cap) -> QSeries:
+    """(a; q^(step/24))_inf as one mul_binomial per factor on the full grid,
+    negative exponents normalized by 1 - C q^-p = -C q^-p (1 - C^-1 q^p)."""
+    shift_total = 0
+    e = a.pow
+    while e < 0:
+        shift_total += e
+        e += step
+    work_cap = cap - shift_total
+    out = QSeries.one(work_cap)
+    e = a.pow
+    while e < work_cap:
+        if e > 0:
+            out = out.mul_binomial(a.const, e)
+        elif e == 0:
+            out = out.scale(ONE - a.const)
+            if out.is_zero():
+                return QSeries.zero(cap)
+        else:
+            out = out.scale(-a.const).mul_binomial(a.const.inverse(), -e)
+        e += step
+    return out.shift(shift_total)
+
+
+def inv_full_grid(s) -> QSeries:
+    """1/s: the unit-lead recurrence over every grid slot when s is one
+    rational component with at most 150 terms, Newton iteration otherwise."""
+    if s.is_zero() or s.low >= s.cap:
+        raise NonInvertibleError("cannot invert a series that is zero to its cap")
+    a = s.shift(-s.low)
+    n = a.cap
+    if set(a.comps) == {0}:
+        d, nums = a.comps[0]
+        if nums[0] in (1, -1) and len([v for v in nums if v]) <= 150:
+            out = [0] * n
+            out[0] = nums[0]
+            nz = [(i, v) for i, v in enumerate(nums) if v and i > 0]
+            for m in range(1, n):
+                out[m] = -nums[0] * sum(v * out[m - i] for i, v in nz if i <= m)
+            return QSeries(0, n, {0: (1, [d * v for v in out])}).shift(-s.low)
+    b = QSeries.monomial(a.coeff(0).inverse(), 0, 1)
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        bp = b._as_poly(prec)
+        b = (bp + bp * (QSeries.one(prec) - a.truncate(prec) * bp)).truncate(prec)
+    return b.shift(-s.low)
+
+
+def compose_power_loop(s, k) -> QSeries:
+    """q -> q^k for positive rational k, placing one coefficient at a time."""
+    k = Fraction(k)
+    new_low = ceil(s.low * k)
+    new_cap = ceil(s.cap * k)
+    comps = {}
+    for comp, (d, nums) in s.comps.items():
+        out = [0] * (new_cap - new_low)
+        for i, v in enumerate(nums):
+            if v:
+                e2 = (s.low + i) * k
+                if e2.denominator != 1:
+                    raise GridError("exponent leaves the grid")
+                out[int(e2) - new_low] = v
+        comps[comp] = (d, out)
+    return QSeries(new_low, new_cap, comps)
+
+
+def dissect_terms(s, m, j) -> QSeries:
+    """S_j with S_j(q^m) q^j = the part of s on exponents = j mod m, built
+    term by term from nonzero_items."""
+    new_cap = 24 * ((((s.cap - 1) // 24) - j) // m + 1)
+    terms = []
+    for e, c in s.nonzero_items():
+        if e % 24:
+            raise GridError("dissect needs integer exponents")
+        if (e // 24) % m == j:
+            terms.append((24 * ((e // 24 - j) // m), c))
+    return from_terms_per_term(terms, new_cap)

@@ -1,0 +1,144 @@
+"""The lattice-compressed producers of the exact kernel against their
+full-grid references in `oracles`: pochhammer_inf, inv, dissect,
+compose_power and from_terms must give the same series, `low` and `cap`
+included."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mockq.cyclotomic import Cyc24, zeta_pow
+from mockq.etatheta import Monomial, pochhammer_inf
+from mockq.qseries import QSeries
+from oracles import (
+    compose_power_loop,
+    dissect_terms,
+    from_terms_per_term,
+    inv_full_grid,
+    pochhammer_inf_dense,
+)
+
+
+def same(a, b):
+    return (a.low, a.cap, a.dump()) == (b.low, b.cap, b.dump())
+
+
+def _basis(k, x):
+    cs = [Fraction(0)] * 8
+    cs[k] = x
+    return Cyc24(cs)
+
+
+_ROOT = st.integers(0, 23).map(zeta_pow)
+_SMALL_RATIONAL = st.builds(
+    lambda p, q: Cyc24(Fraction(p, q)),
+    st.integers(-3, 3).filter(bool),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    const=st.one_of(_ROOT, _SMALL_RATIONAL),
+    pow_=st.integers(-72, 72),
+    step=st.sampled_from([6, 8, 12, 24, 48, 72]),
+    cap=st.integers(1, 800),
+)
+def test_pochhammer_inf_matches_the_dense_chain(const, pow_, step, cap):
+    a = Monomial(const, pow_)
+    assert same(pochhammer_inf(a, step, cap), pochhammer_inf_dense(a, step, cap))
+
+
+# integer-exponent series in several components: (whole exponent t,
+# component, numerator, denominator)
+_WHOLE_TERMS = st.lists(
+    st.tuples(
+        st.integers(-8, 40),
+        st.integers(0, 7),
+        st.integers(-4, 4),
+        st.sampled_from([1, 2, 3]),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=_WHOLE_TERMS,
+    cap=st.integers(-100, 1000),
+    m=st.sampled_from([2, 3, 5]),
+    data=st.data(),
+)
+def test_dissect_matches_the_term_walk(terms, cap, m, data):
+    j = data.draw(st.integers(0, m - 1))
+    s = QSeries.from_terms([(24 * t, _basis(k, Fraction(n, d))) for t, k, n, d in terms], cap)
+    assert same(s.dissect(m, j), dissect_terms(s, m, j))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lead=st.sampled_from([1, -1, Fraction(1, 3), -2]),
+    e0=st.integers(-40, 40),
+    stride=st.sampled_from([1, 12, 24]),
+    tail=st.lists(
+        st.tuples(st.integers(1, 40), st.integers(-3, 3), st.sampled_from([1, 1, 2])),
+        max_size=8,
+    ),
+    extra=st.one_of(st.none(), st.tuples(st.integers(1, 7), st.integers(1, 30))),
+    length=st.integers(1, 600),
+)
+def test_inv_matches_the_full_grid_recurrence(lead, e0, stride, tail, extra, length):
+    """Series on strides 1, 12 and 24; a rational or non-unit lead, or an
+    extra component, sends both to Newton iteration instead."""
+    terms = [(e0, lead)] + [(e0 + stride * i, Fraction(v, d)) for i, v, d in tail]
+    if extra is not None:
+        terms.append((e0 + stride * extra[1], zeta_pow(extra[0])))
+    s = QSeries.from_terms(terms, e0 + length)
+    assert same(s.inv(), inv_full_grid(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.integers(-30, 130),
+            st.integers(0, 7),
+            st.integers(-4, 4),
+            st.sampled_from([1, 2, 3, 5]),
+        ),
+        max_size=12,
+    ),
+    cap=st.integers(-40, 160),
+    k=st.sampled_from([1, 2, 3, 24, Fraction(1, 2), Fraction(3, 2)]),
+)
+def test_compose_power_matches_the_coefficient_loop(terms, cap, k):
+    # exponents in multiples of k's denominator stay on the grid under q -> q^k
+    r = Fraction(k).denominator
+    s = QSeries.from_terms([(r * e, _basis(c, Fraction(n, d))) for e, c, n, d in terms], cap)
+    assert same(s.compose_power(k), compose_power_loop(s, k))
+
+
+_COEFF = st.one_of(
+    st.integers(-3, 3),
+    _ROOT,
+    _SMALL_RATIONAL,
+    st.builds(lambda k, x: _basis(k, Fraction(x, 7)), st.integers(0, 7), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(_COEFF, min_size=1, max_size=5),
+    picks=st.lists(st.tuples(st.integers(-20, 140), st.integers(0, 4)), max_size=40),
+    cap=st.integers(-10, 120),
+)
+def test_from_terms_matches_the_per_term_split(pool, picks, cap):
+    """The same coefficient objects repeat across terms, plain ints mix with
+    Cyc24 values, and some terms sit at or past cap."""
+    terms = [(e, pool[i % len(pool)]) for e, i in picks]
+    want = from_terms_per_term(terms, cap)
+    assert same(QSeries.from_terms(terms, cap), want)
+    # a generator that builds a fresh object per term, each dropped before
+    # the next is made: the memo must not mistake a reused id for a hit
+    fresh = ((e, Cyc24(c)) for e, c in terms)
+    assert same(QSeries.from_terms(fresh, cap), want)

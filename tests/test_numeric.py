@@ -30,7 +30,7 @@ from mockq.numeric import (
     _g_ab_smart,
     _gab_terms,
 )
-from oracles import eichler_quad_from_taubar, g012_num, g_eval, mordell_j_grid
+from oracles import R_mpmath, eichler_quad_from_taubar, g012_num, g_eval, mordell_j_grid
 
 SC = NumericScene(0.25 + 1j)
 
@@ -101,6 +101,13 @@ def test_R_elliptic_properties():
     lhs = R_num(u, SC) + cmath.exp(-2j * math.pi * u - 1j * math.pi * tau) * R_num(u + tau, SC)
     assert abs(lhs - 2 * cmath.exp(-1j * math.pi * u - 1j * math.pi * tau / 4)) < 1e-9
     assert abs(R_num(-u, SC) - R_num(u, SC)) < 1e-12
+
+
+@pytest.mark.parametrize("u", [0.3 + 0.2j, 0.1 - 0.4j, 0.25 + 0.9j])
+@pytest.mark.parametrize("scene", SCENES, ids=lambda sc: repr(sc.tau))
+def test_R_matches_a_60_digit_sum(u, scene):
+    want = R_mpmath(u, scene.tau)
+    assert abs(R_num(u, scene) - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_mu_tilde_symmetries():
