@@ -8,8 +8,8 @@ still emitted), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import re
 import sys
 
 from .errors import MockqError
@@ -20,29 +20,14 @@ __all__ = ["main", "parse_tau"]
 
 
 def parse_tau(text: str) -> complex:
-    """Parse "a+bi" with decimal a, b; "i" alone means 0+1i."""
-    s = text.strip().replace(" ", "")
-    m = re.fullmatch(r"(?:([+-]?\d*\.?\d+))?(?:([+-](?:\d*\.?\d+)?)?i)?", s)
-    if not m or (m.group(1) is None and not s.endswith("i")):
-        raise ValueError("cannot parse tau from %r (expected a+bi)" % text)
-    re_part = float(m.group(1)) if m.group(1) is not None else 0.0
-    if s.endswith("i"):
-        b = m.group(2)
-        if b is None:
-            # plain "i" or "2i": the whole numeric head is the imaginary part
-            if m.group(1) is not None:
-                im_part, re_part = re_part, 0.0
-            else:
-                im_part = 1.0
-        elif b in ("+", "-"):
-            im_part = 1.0 if b == "+" else -1.0
-        else:
-            im_part = float(b)
-    else:
-        im_part = 0.0
-    tau = complex(re_part, im_part)
-    if not tau.imag > 0:
-        raise ValueError("tau must satisfy Im(tau) > 0, got %s" % tau)
+    """Parse "a+bi" as Python's complex() reads "a+bj"; "i" alone means 0+1i."""
+    s = text.replace(" ", "")
+    try:
+        tau = None if "j" in s else complex(s.replace("i", "j"))
+    except ValueError:
+        tau = None
+    if tau is None or not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ValueError("cannot read tau from %r: expected a+bi with Im(tau) > 0" % text)
     return tau
 
 
@@ -75,8 +60,6 @@ def _emit(payload, args):
                     row["residual"],
                     row["tol"],
                 )
-                if row["detail"]:
-                    line += "  " + row["detail"]
             lines.append(line)
         text = "\n".join(lines)
     if args.out:

@@ -14,15 +14,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from fractions import Fraction
 from itertools import islice
 
 import mpmath
 from scipy import integrate, special
 
+from .cyclotomic import Cyc24
 from .errors import ConvergenceError, PoleError
 from .mocktheta import f_eulerian, omega_eulerian
-from .registry import NEWF_ETA, NEWOMEGA2_ETA, NEWOMEGA_ETA, _catalog_map
+from .registry import MU_REPS, _catalog_map
 
 __all__ = [
     "NumericScene",
@@ -581,7 +583,6 @@ class CheckResult:
     tau: complex
     residual: float
     tol: float
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -594,18 +595,17 @@ class CheckResult:
             "residual": self.residual,
             "tol": self.tol,
             "status": "pass" if self.passed else "fail",
-            "detail": self.detail,
         }
 
 
 def _check_etatrans(sc):
     lhs = eta_num(sc.at(-1 / sc.tau))
     rhs = cmath.sqrt(-1j * sc.tau) * eta_num(sc)
-    return abs(lhs - rhs), ""
+    return abs(lhs - rhs)
 
 
 def _check_rellprops_a(sc):
-    return abs(R_num(_U0 + 1, sc) + R_num(_U0, sc)), ""
+    return abs(R_num(_U0 + 1, sc) + R_num(_U0, sc))
 
 
 def _check_rellprops_b(sc):
@@ -614,11 +614,11 @@ def _check_rellprops_b(sc):
         _U0 + tau, sc
     )
     rhs = 2 * cmath.exp(-1j * math.pi * _U0 - 1j * math.pi * tau / 4)
-    return abs(lhs - rhs), ""
+    return abs(lhs - rhs)
 
 
 def _check_rellprops_c(sc):
-    return abs(R_num(-_U0, sc) - R_num(_U0, sc)), ""
+    return abs(R_num(-_U0, sc) - R_num(_U0, sc))
 
 
 def _check_mutwid_a(sc):
@@ -626,27 +626,22 @@ def _check_mutwid_a(sc):
     base = mu_tilde_num(_U0, _V0, sc)
     res = abs(mu_tilde_num(_U0 + 1, _V0, sc) + base)  # k=0,l=1: factor -1
     fac = -cmath.exp(1j * math.pi * tau + _TWO_PI_I * (_U0 - _V0))
-    res = max(res, abs(mu_tilde_num(_U0 + tau, _V0, sc) - fac * base))
-    return res, ""
+    return max(res, abs(mu_tilde_num(_U0 + tau, _V0, sc) - fac * base))
 
 
 def _check_mutwid_b(sc):
     s = ((0, -1), (1, 0))
     t = ((1, 1), (0, 1))
-    return (
-        max(
-            mu_tilde_modular_check(s, 0.2 + 0.1j, _V0, sc),
-            mu_tilde_modular_check(t, 0.2 + 0.1j, _V0, sc),
-        ),
-        "",
+    return max(
+        mu_tilde_modular_check(s, 0.2 + 0.1j, _V0, sc),
+        mu_tilde_modular_check(t, 0.2 + 0.1j, _V0, sc),
     )
 
 
 def _check_mutwid_c(sc):
     base = mu_tilde_num(_U0, _V0, sc)
     res = abs(mu_tilde_num(-_U0, -_V0, sc) - base)
-    res = max(res, abs(mu_tilde_num(_V0, _U0, sc) - base))
-    return res, ""
+    return max(res, abs(mu_tilde_num(_V0, _U0, sc) - base))
 
 
 def _check_gab(part):
@@ -655,15 +650,15 @@ def _check_gab(part):
     def run(sc):
         base = g_ab_num(a, b, sc)
         if part == "i":
-            return abs(g_ab_num(a + 1, b, sc) - base), ""
+            return abs(g_ab_num(a + 1, b, sc) - base)
         if part == "ii":
-            return abs(g_ab_num(a, b + 1, sc) - cmath.exp(_TWO_PI_I * a) * base), ""
+            return abs(g_ab_num(a, b + 1, sc) - cmath.exp(_TWO_PI_I * a) * base)
         if part == "iii":
-            return abs(g_ab_num(-a, -b, sc) + base), ""
+            return abs(g_ab_num(-a, -b, sc) + base)
         if part == "iv":
             lhs = g_ab_num(a, b, sc.at(sc.tau + 1))
             rhs = cmath.exp(-1j * math.pi * a * (a + 1)) * g_ab_num(a, a + b + 0.5, sc)
-            return abs(lhs - rhs), ""
+            return abs(lhs - rhs)
         if part == "v":
             lhs = g_ab_num(a, b, sc.at(-1 / sc.tau))
             rhs = (
@@ -672,7 +667,7 @@ def _check_gab(part):
                 * (-1j * sc.tau) ** 1.5
                 * g_ab_num(b, -a, sc)
             )
-            return abs(lhs - rhs), ""
+            return abs(lhs - rhs)
         raise ValueError(part)
 
     return run
@@ -685,7 +680,7 @@ def _check_gabints(sc):
     rhs = -cmath.exp(
         -1j * math.pi * a * a * sc.tau + _TWO_PI_I * a * (b + 0.5)
     ) * R_num(a * sc.tau - b, sc)
-    return abs(lhs - rhs), ""
+    return abs(lhs - rhs)
 
 
 def _check_rext(sc):
@@ -696,11 +691,11 @@ def _check_rext(sc):
     rhs = cmath.exp(1j * math.pi * tau / 4 + 1j * math.pi * b) - cmath.exp(
         1j * math.pi * tau / 4 + 1j * math.pi * (b + 0.5)
     ) * integ
-    return abs(lhs - rhs), ""
+    return abs(lhs - rhs)
 
 
 def _mordell_residual(target, sc):
-    return max(abs(x - t) for x, t in zip(R_vec_mordell(sc), target)), ""
+    return max(abs(x - t) for x, t in zip(R_vec_mordell(sc), target))
 
 
 def _check_lemma33(sc):
@@ -719,65 +714,54 @@ def _check_s_transform(sc):
     pre = 1 / cmath.sqrt(-1j * sc.tau)
     lhs = tuple(pre * x for x in H_num(sc.at(-1 / sc.tau)))
     rhs = _mat_S(H_num(sc))
-    return max(abs(a - b) for a, b in zip(lhs, rhs)), ""
+    return max(abs(a - b) for a, b in zip(lhs, rhs))
 
 
 def _check_t_transform(sc):
     lhs = H_num(sc.at(sc.tau + 1))
     rhs = _mat_T(H_num(sc))
-    return max(abs(a - b) for a, b in zip(lhs, rhs)), ""
+    return max(abs(a - b) for a, b in zip(lhs, rhs))
 
 
 _CONSISTENCY_ORDER = 200
+_MU_REPS = {r.id: r for r in MU_REPS}
 
 
-def _consistency(rec_id, numeric_rhs):
+def _mu_rep_num(rep, scene) -> complex:
+    """The registry.MuRep row rep in floats, at the scene's tau."""
+    sc = _coerce(scene)
+    tau = sc.tau
+    quot = 1.0 + 0j
+    for m, r in rep.eta.factors:
+        quot *= eta_num(sc.at(float(m) * tau)) ** r
+    (u0, u1), (v0, v1) = rep.u, rep.v
+    mu = mu_num(float(u0) * tau + float(u1), float(v0) * tau + float(v1), sc.at(rep.M * tau))
+    return (
+        Cyc24(rep.const).to_complex()
+        + Cyc24(rep.eta_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.eta_shift / 24) * quot
+        + Cyc24(rep.mu_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.mu_shift / 24) * mu
+    )
+
+
+@cache
+def _exact_sides(rec_id):
+    """A record's first pair to q^_CONSISTENCY_ORDER, built once per process."""
+    lhs, rhs = _catalog_map()[rec_id].builder(24 * _CONSISTENCY_ORDER + 24)[0]
+    top = 24 * _CONSISTENCY_ORDER + 1
+    return lhs.truncate(top), rhs.truncate(top)
+
+
+def _consistency(rec_id, rep_id):
+    """rec_id's exact sides against each other and the MuRep row rep_id."""
+    rep = _MU_REPS[rep_id]
+
     def run(sc):
-        rec = _catalog_map()[rec_id]
-        pairs = rec.builder(24 * _CONSISTENCY_ORDER + 24)
-        lhs_s, rhs_s = pairs[0]
-        a = qseries_eval(lhs_s.truncate(24 * _CONSISTENCY_ORDER + 1), sc.tau)
-        b = qseries_eval(rhs_s.truncate(24 * _CONSISTENCY_ORDER + 1), sc.tau)
-        c = numeric_rhs(sc)
-        return max(abs(a - b), abs(b - c)), ""
+        lhs, rhs = _exact_sides(rec_id)
+        a = qseries_eval(lhs, sc.tau)
+        b = qseries_eval(rhs, sc.tau)
+        return max(abs(a - b), abs(b - _mu_rep_num(rep, sc)))
 
     return run
-
-
-def _eta_quot(spec, sc):
-    """prod eta(m*tau)^r over the (m, r) factors of an EtaQuotientSpec."""
-    out = 1.0 + 0j
-    for m, r in spec.factors:
-        out *= eta_num(sc.at(float(m) * sc.tau)) ** r
-    return out
-
-
-def _numeric_newomega(sc):
-    tau = sc.tau
-    c0 = -2j / _SQRT3
-    quot = _eta_quot(NEWOMEGA_ETA, sc)
-    mu = mu_num(tau + 0.5, 1.0 / 3, sc.at(2 * tau))
-    pre = (4 / _SQRT3) * cmath.exp(-1j * math.pi / 6) * cmath.exp(-_TWO_PI_I * tau / 4)
-    return c0 - (2.0 / 3) * quot - pre * mu
-
-
-def _numeric_newomega2(sc):
-    tau = sc.tau
-    c0 = -2j / _SQRT3
-    quot = _eta_quot(NEWOMEGA2_ETA, sc)
-    mu = mu_num(tau - 2.0 / 3, -1.0 / 3, sc.at(2 * tau))
-    pre = (4 / _SQRT3) * cmath.exp(1j * math.pi / 3) * cmath.exp(-_TWO_PI_I * tau / 4)
-    return c0 + (2.0 / 3) * quot - pre * mu
-
-
-def _numeric_newf(sc):
-    # the q^(1/8)-normalized right side: the q^(1/8) prefactor cancels the
-    # eta-quotient's q^(-1/8) and scales the mu term
-    tau = sc.tau
-    q18 = cmath.exp(_TWO_PI_I * tau / 8)
-    quot = _eta_quot(NEWF_ETA, sc)
-    mu = mu_num(-0.5, -1.0 / 3, sc)
-    return (1.0 / 3) * q18 * quot + q18 * (4j / _SQRT3) * mu
 
 
 _CHECKS = {
@@ -799,9 +783,9 @@ _CHECKS = {
     "watson-lemma": (_check_watson_lemma, 1e-6),
     "s-transform": (_check_s_transform, 1e-8),
     "t-transform": (_check_t_transform, 1e-9),
-    "consistency-newomega": (_consistency("NEWOMEGA", _numeric_newomega), 1e-7),
-    "consistency-newomega2": (_consistency("NEWOMEGA2", _numeric_newomega2), 1e-7),
-    "consistency-newf": (_consistency("NEWF", _numeric_newf), 1e-7),
+    "consistency-newomega": (_consistency("NEWOMEGA", "NEWOMEGA_MU_FORM"), 1e-7),
+    "consistency-newomega2": (_consistency("NEWOMEGA2", "NEWOMID"), 1e-7),
+    "consistency-newf": (_consistency("NEWF", "NEWF_MU_FORM"), 1e-7),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
@@ -812,8 +796,7 @@ def run_check(name, scene=None, tol=None) -> CheckResult:
         raise KeyError("unknown numeric check %r" % name)
     fn, default_tol = _CHECKS[name]
     sc = _coerce(scene) if scene is not None else SCENES[0]
-    residual, detail = fn(sc)
-    return CheckResult(name, sc.tau, residual, tol if tol is not None else default_tol, detail)
+    return CheckResult(name, sc.tau, fn(sc), tol if tol is not None else default_tol)
 
 
 def run_battery(names=None, scenes=None):

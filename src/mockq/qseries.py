@@ -63,12 +63,15 @@ _SPARSE_CUTOFF = 48
 # integer convolution
 
 
-def _pack(vals, nbytes, n):
-    buf = bytearray(n * nbytes)
+def _pack(vals, nbytes):
+    """The signed integer sum of vals[i] * 2^(8*nbytes*i): the packed
+    positive part minus the packed negative part."""
+    pos, neg = bytearray(len(vals) * nbytes), bytearray(len(vals) * nbytes)
     for i, x in enumerate(vals):
         if x:
-            buf[i * nbytes : (i + 1) * nbytes] = x.to_bytes(nbytes, "little")
-    return int.from_bytes(buf, "little")
+            buf = pos if x > 0 else neg
+            buf[i * nbytes : (i + 1) * nbytes] = abs(x).to_bytes(nbytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _unpack(big, nbytes, n):
@@ -80,30 +83,17 @@ def _unpack(big, nbytes, n):
 
 
 def _kron_conv(xs, ys, out_len):
-    mx = max(abs(v) for v in xs)
-    my = max(abs(v) for v in ys)
-    bound = mx * my * min(len(xs), len(ys))
-    nbytes = bound.bit_length() // 8 + 1
-    xp = [v if v > 0 else 0 for v in xs]
-    xn = [-v if v < 0 else 0 for v in xs]
-    yp = [v if v > 0 else 0 for v in ys]
-    yn = [-v if v < 0 else 0 for v in ys]
-    has_xn = any(xn)
-    has_yn = any(yn)
-    p1 = int(_mpz(_pack(xp, nbytes, len(xs))) * _mpz(_pack(yp, nbytes, len(ys))))
-    if not (has_xn or has_yn):
-        return _unpack(p1, nbytes, out_len)
-    # signed case: conv = 2*(pos*pos + neg*neg) - |x|*|y|
-    p2 = 0
-    if has_xn and has_yn:
-        p2 = int(_mpz(_pack(xn, nbytes, len(xs))) * _mpz(_pack(yn, nbytes, len(ys))))
-    xa = [abs(v) for v in xs]
-    ya = [abs(v) for v in ys]
-    p3 = int(_mpz(_pack(xa, nbytes, len(xs))) * _mpz(_pack(ya, nbytes, len(ys))))
-    d1 = _unpack(p1, nbytes, out_len)
-    d2 = _unpack(p2, nbytes, out_len) if p2 else [0] * out_len
-    d3 = _unpack(p3, nbytes, out_len)
-    return [2 * (a + b) - c for a, b, c in zip(d1, d2, d3)]
+    """One signed Kronecker product.  Every output digit c of the product of
+    the packed arrays has |c| <= bound < B/2 with B = 2^(8*nbytes), so adding
+    B/2 to each digit puts them all in [0, B): one unpack reads them, and
+    B/2 comes off again."""
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
+    nbytes = (bound.bit_length() + 1) // 8 + 1
+    half = 1 << (8 * nbytes - 1)
+    digits = max(len(xs) + len(ys), out_len)
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * digits, "little")
+    prod = _mpz(_pack(xs, nbytes)) * _mpz(_pack(ys, nbytes)) + offset
+    return [d - half for d in _unpack(prod, nbytes, out_len)]
 
 
 def _conv_lattice(xs, ys, out_len):

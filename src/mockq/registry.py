@@ -40,13 +40,14 @@ from .mocktheta import (
 )
 from .qseries import QSeries
 
-__all__ = ["IdentityRecord", "VerifyReport", "registry_catalog", "verify", "verify_all"]
+__all__ = ["IdentityRecord", "MU_REPS", "MuRep", "VerifyReport", "registry_catalog", "verify",
+           "verify_all"]
 
 _F = Fraction
 _MINUS_2I_OVER_SQRT3 = (Cyc24(2) - 4 * zeta_pow(4)) * Cyc24(_F(1, 3))
-_SQRT3 = 2 * zeta_pow(2) - zeta_pow(6)
+_FOUR_OVER_SQRT3 = 4 * (2 * zeta_pow(2) - zeta_pow(6)).inverse()
 
-# eta quotients of the NEWOMEGA, NEWOMEGA2 and NEWF right sides, shared with numeric
+# eta quotients of the NEWOMEGA, NEWOMEGA2 and NEWF right sides, shared with MU_REPS
 NEWOMEGA_ETA = EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)])
 NEWOMEGA2_ETA = EtaQuotientSpec([(2, 4), (6, -1), (1, -2)])
 NEWF_ETA = EtaQuotientSpec([(1, 4), (3, -1), (2, -2)])
@@ -58,7 +59,6 @@ class IdentityRecord:
     description: str
     builder: object  # cap -> list of (lhs, rhs) QSeries pairs
     default_order: int = 200
-    normalization: int = 0  # grid exponent both sides were multiplied by
 
 
 @dataclass
@@ -93,6 +93,16 @@ def _b_omegawatson(cap):
 
 def _b_fidwat(cap):
     return [(f_eulerian(cap), f_watson(cap))]
+
+
+def _f_q3(cap):
+    """f(q^3), exact to cap."""
+    return f_eulerian((cap + 71) // 3 + 1).compose_power(3).truncate(cap)
+
+
+def _omega_minus_sqrt_q(cap):
+    """omega(-q^(1/2)), exact to cap."""
+    return omega_eulerian(2 * cap + 48).twist_minus_q().compose_power(_F(1, 2)).truncate(cap)
 
 
 def _omega_mq3_shifted(cap):
@@ -142,7 +152,7 @@ def _b_newomega2_from_twist(cap):
 
 def _b_newf(cap):
     # both sides multiplied by q^(1/8) (grid shift +3) to clear the fractional low
-    lhs = f_eulerian((cap + 71) // 3 + 1).compose_power(3).truncate(cap)
+    lhs = _f_q3(cap)
     etaq = eta_quotient(NEWF_ETA, cap + 3).shift(3)
     spec = LerchSpec(A=_F(1, 2), B=_F(1, 2), rho_const=zeta_pow(16), c_const=-1, D=1, E=0)
     mus = lerch_expand(spec, cap) * euler_E_inv(3, cap)
@@ -225,8 +235,7 @@ def _b_omega_mq_xcheck(cap):
 def _b_omega_half_split(cap):
     # omega(-q^(1/2)) = E(q^6)^2 E(q^(3/2))^2 / (E(q^3)^2 E(q))
     #                   - (2 q^(-1)/E(q)) sum (-1)^n q^((3n^2+n)/2)/(1+q^(3n-3/2))
-    lhs = omega_eulerian(2 * cap + 48).twist_minus_q().compose_power(_F(1, 2))
-    lhs = lhs.truncate(cap)
+    lhs = _omega_minus_sqrt_q(cap)
     quot = (
         euler_E(6, cap) ** 2
         * euler_E(_F(3, 2), cap) ** 2
@@ -239,19 +248,6 @@ def _b_omega_half_split(cap):
     return [(lhs, rhs)]
 
 
-def _b_h2_mu_rep(cap):
-    # 2 eta(6t)^2 eta(3t/2)^2/(eta(3t)^2 eta(t)) - 4 q^(-1/24) mu(-3t/2+1/2, -t; 3t)
-    #   = 2 q^(1/3) omega(-q^(1/2))
-    mu = mu_formal((_F(-3, 2), _F(1, 2)), (-1, 0), 3, cap + 1)
-    etaq = eta_quotient(
-        EtaQuotientSpec([(6, 2), (_F(3, 2), 2), (3, -2), (1, -1)]), cap
-    ).scale(2)
-    lhs = etaq - mu.shift(-1).scale(4).truncate(cap)
-    w = omega_eulerian(2 * cap + 48).twist_minus_q().compose_power(_F(1, 2))
-    rhs = w.shift(8).scale(2).truncate(cap)
-    return [(lhs, rhs)]
-
-
 def _b_mu_swap_symmetry(cap):
     return [
         (
@@ -259,52 +255,6 @@ def _b_mu_swap_symmetry(cap):
             mu_formal((1, 0), (_F(3, 2), _F(1, 2)), 3, cap),
         )
     ]
-
-
-def _b_f_mu_rep(cap):
-    # eta(3t)^4/(eta(t) eta(6t)^2) + 4 q^(-1/6) mu(2t+1/2, t; 3t) = q^(-1/24) f(q)
-    mu = mu_formal((2, _F(1, 2)), (1, 0), 3, cap + 4)
-    etaq = eta_quotient(EtaQuotientSpec([(3, 4), (1, -1), (6, -2)]), cap)
-    lhs = etaq + mu.shift(-4).scale(4).truncate(cap)
-    rhs = f_eulerian(cap + 1).shift(-1).truncate(cap)
-    return [(lhs, rhs)]
-
-
-def _b_newomid(cap):
-    # after tau -> 6*tau: 2 q^2 omega(q^3) = (2/3) eta(2t)^4/(eta(6t) eta(t)^2)
-    #   - (4/sqrt3) q^(-1/4) e^(pi i/3) mu(t - 2/3, -1/3; 2t) - 2i/sqrt3
-    mu = mu_formal((1, _F(-2, 3)), (0, _F(-1, 3)), 2, cap + 6)
-    etaq = eta_quotient(NEWOMEGA2_ETA, cap)
-    rhs = (
-        etaq.scale(_F(2, 3))
-        - mu.shift(-6).scale(exp_pi_i(_F(1, 3)) * _SQRT3.inverse() * 4).truncate(cap)
-        + QSeries.monomial(_MINUS_2I_OVER_SQRT3, 0, cap)
-    )
-    return [(_omega_q3_shifted(cap), rhs)]
-
-
-def _b_newomega_mu_form(cap):
-    # 2 q^2 omega(-q^3) = -2i/sqrt3 - (2/3) E(q)^2 E(q^4)^2/(E(q^2)^2 E(q^6))
-    #   - (4/sqrt3) q^(-1/4) e^(-pi i/6) mu(tau+1/2, 1/3; 2 tau)
-    mu = mu_formal((1, _F(1, 2)), (0, _F(1, 3)), 2, cap + 6)
-    etaq = eta_quotient(NEWOMEGA_ETA, cap)
-    rhs = (
-        QSeries.monomial(_MINUS_2I_OVER_SQRT3, 0, cap)
-        - etaq.scale(_F(2, 3))
-        - mu.shift(-6).scale(exp_pi_i(_F(-1, 6)) * _SQRT3.inverse() * 4).truncate(cap)
-    )
-    return [(_omega_mq3_shifted(cap), rhs)]
-
-
-def _b_newf_mu_form(cap):
-    # q^(-1/24) f(q) = eta(t/3)^4/(3 eta(t) eta(2t/3)^2) + (4i/sqrt3) mu(-1/2,-1/3;t/3)
-    # stated after t -> 3t so everything lives on the grid; x q^(1/8) normalization
-    mu = mu_formal((0, _F(-1, 2)), (0, _F(-1, 3)), 1, cap)
-    etaq = eta_quotient(NEWF_ETA, cap + 3).shift(3)
-    coef = zeta_pow(6) * _SQRT3.inverse() * 4
-    rhs = etaq.scale(_F(1, 3)).truncate(cap) + mu.scale(coef).shift(3).truncate(cap)
-    lhs = f_eulerian((cap + 71) // 3 + 1).compose_power(3).truncate(cap)
-    return [(lhs, rhs)]
 
 
 def _b_rln_omega(cap):
@@ -335,7 +285,7 @@ def _b_rln_f(cap):
         term = (t * den.inv()).truncate(cap)
         acc = acc + (term if n % 2 == 0 else -term)
         n += 1
-    f3 = f_eulerian((cap + 71) // 3 + 1).compose_power(3).truncate(cap)
+    f3 = _f_q3(cap)
     # varphi^2(-q) validated as (sum (-1)^n q^(n^2))^2, the classical theta at -q
     rhs = f3.scale(_F(3, 4)) + (
         phi_theta(cap) ** 2 * euler_E_inv(3, cap)
@@ -350,6 +300,90 @@ def _b_vartheta_third(cap):
 def _b_assembly_constant(cap):
     res = newomega_assembly_constant()
     return [(QSeries.monomial(res, 0, cap), QSeries.zero(cap))]
+
+
+# ---------------------------------------------------------------------------
+# mu-representations
+
+
+@dataclass(frozen=True)
+class MuRep:
+    """A mu-representation of a mock theta side, stated once:
+
+        mock = const + eta_coef q^(eta_shift/24) eta-quotient
+               + mu_coef q^(mu_shift/24) mu(u0 tau + u1, v0 tau + v1; M tau),
+
+    with rational or Cyc24 constants.  `series` builds the right side exactly
+    (`mu_formal` expands geometric series); `numeric._mu_rep_num` evaluates it
+    in floats (`mu_num` sums the Appell-Lerch definition).
+    """
+
+    id: str
+    description: str
+    mock: object  # cap -> QSeries
+    rep_left: bool  # the representation is the left side of the pair
+    const: object
+    eta: EtaQuotientSpec
+    eta_coef: object
+    eta_shift: int
+    mu_coef: object
+    mu_shift: int
+    u: tuple  # (u0, u1)
+    v: tuple  # (v0, v1)
+    M: int
+
+    def series(self, cap):
+        etaq = eta_quotient(self.eta, cap - self.eta_shift).shift(self.eta_shift)
+        mu = mu_formal(self.u, self.v, self.M, cap - self.mu_shift).shift(self.mu_shift)
+        const = QSeries.monomial(self.const, 0, cap)
+        return etaq.scale(self.eta_coef) + mu.scale(self.mu_coef) + const
+
+    def pairs(self, cap):
+        rep, mock = self.series(cap), self.mock(cap)
+        return [(rep, mock) if self.rep_left else (mock, rep)]
+
+
+MU_REPS = (
+    MuRep(
+        "F_MU_REP",
+        "q^(-1/24) f(q) = eta(3t)^4/(eta(t) eta(6t)^2) + 4 q^(-1/6) mu(2t+1/2, t; 3t)",
+        lambda cap: f_eulerian(cap + 1).shift(-1).truncate(cap), True,
+        const=0, eta=EtaQuotientSpec([(3, 4), (1, -1), (6, -2)]), eta_coef=1, eta_shift=0,
+        mu_coef=4, mu_shift=-4, u=(2, _F(1, 2)), v=(1, 0), M=3,
+    ),
+    MuRep(
+        "H2_MU_REP",
+        "2q^(1/3) omega(-q^(1/2)) = 2 eta(6t)^2 eta(3t/2)^2/(eta(3t)^2 eta(t)) "
+        "- 4 q^(-1/24) mu(-3t/2+1/2, -t; 3t); holds with the negated arguments "
+        "only (the un-negated form differs at the completed level by R-terms)",
+        lambda cap: _omega_minus_sqrt_q(cap).shift(8).scale(2).truncate(cap), True,
+        const=0, eta=EtaQuotientSpec([(6, 2), (_F(3, 2), 2), (3, -2), (1, -1)]), eta_coef=2,
+        eta_shift=0, mu_coef=-4, mu_shift=-1, u=(_F(-3, 2), _F(1, 2)), v=(-1, 0), M=3,
+    ),
+    MuRep(  # after tau -> 6 tau
+        "NEWOMID",
+        "rescaled identity: 2q^2 omega(q^3) from an eta-quotient and mu(t-2/3, -1/3; 2t)",
+        _omega_q3_shifted, False,
+        const=_MINUS_2I_OVER_SQRT3, eta=NEWOMEGA2_ETA, eta_coef=_F(2, 3), eta_shift=0,
+        mu_coef=-exp_pi_i(_F(1, 3)) * _FOUR_OVER_SQRT3, mu_shift=-6,
+        u=(1, _F(-2, 3)), v=(0, _F(-1, 3)), M=2,
+    ),
+    MuRep(
+        "NEWOMEGA_MU_FORM",
+        "2q^2 omega(-q^3) from an eta-quotient and mu(t+1/2, 1/3; 2t)",
+        _omega_mq3_shifted, False,
+        const=_MINUS_2I_OVER_SQRT3, eta=NEWOMEGA_ETA, eta_coef=_F(-2, 3), eta_shift=0,
+        mu_coef=-exp_pi_i(_F(-1, 6)) * _FOUR_OVER_SQRT3, mu_shift=-6,
+        u=(1, _F(1, 2)), v=(0, _F(1, 3)), M=2,
+    ),
+    MuRep(  # after t -> 3t, so everything lives on the grid, times q^(1/8)
+        "NEWF_MU_FORM",
+        "f via mu(-1/2, -1/3; t): q^(1/8)-normalized series identity",
+        _f_q3, False,
+        const=0, eta=NEWF_ETA, eta_coef=_F(1, 3), eta_shift=3,
+        mu_coef=zeta_pow(6) * _FOUR_OVER_SQRT3, mu_shift=3, u=(0, _F(-1, 2)), v=(0, _F(-1, 3)), M=1,
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -431,44 +465,12 @@ def registry_catalog():
             200,
         ),
         IdentityRecord(
-            "H2_MU_REP",
-            "2q^(1/3) omega(-q^(1/2)) = 2 eta(6t)^2 eta(3t/2)^2/(eta(3t)^2 eta(t)) "
-            "- 4 q^(-1/24) mu(-3t/2+1/2, -t; 3t); holds with the negated arguments "
-            "only (the un-negated form differs at the completed level by R-terms)",
-            _b_h2_mu_rep,
-            200,
-        ),
-        IdentityRecord(
             "MU_SWAP_SYMMETRY",
             "formal mu(u, v) = mu(v, u) at a grid-valid specialization",
             _b_mu_swap_symmetry,
             200,
         ),
-        IdentityRecord(
-            "F_MU_REP",
-            "q^(-1/24) f(q) = eta(3t)^4/(eta(t) eta(6t)^2) + 4 q^(-1/6) mu(2t+1/2, t; 3t)",
-            _b_f_mu_rep,
-            200,
-        ),
-        IdentityRecord(
-            "NEWOMID",
-            "rescaled identity: 2q^2 omega(q^3) from an eta-quotient and "
-            "mu(t-2/3, -1/3; 2t)",
-            _b_newomid,
-            200,
-        ),
-        IdentityRecord(
-            "NEWOMEGA_MU_FORM",
-            "2q^2 omega(-q^3) from an eta-quotient and mu(t+1/2, 1/3; 2t)",
-            _b_newomega_mu_form,
-            200,
-        ),
-        IdentityRecord(
-            "NEWF_MU_FORM",
-            "f via mu(-1/2, -1/3; t): q^(1/8)-normalized series identity",
-            _b_newf_mu_form,
-            200,
-        ),
+        *(IdentityRecord(r.id, r.description, r.pairs) for r in MU_REPS),
         IdentityRecord(
             "RLN_OMEGA",
             "Lost-Notebook omega identity; omega_3(q^3) read as omega(q^3)",

@@ -15,6 +15,9 @@ def test_parse_tau():
         parse_tau("0.5-1i")  # lower half-plane
     with pytest.raises(ValueError):
         parse_tau("bananas")
+    for text in ("1e400i", "nani", "0.25+1j"):  # infinite, NaN, Python's j
+        with pytest.raises(ValueError):
+            parse_tau(text)
 
 
 def test_verify_json(capsys):

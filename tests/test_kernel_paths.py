@@ -137,6 +137,23 @@ def test_conv_strided_supports_match_naive(g):
         if out_len % g == 0:
             out_len += 1
         assert _conv(xs, ys, out_len) == naive_conv(xs, ys, out_len), (g, case)
+    # signed Kronecker edge cases: no negative entry, negatives on one side
+    # only, and +-v everywhere, whose middle output digit is -bound = -60 v^2.
+    # For v = 2*10^30 that bound has 208 bits, so packing without a spare
+    # sign bit fails.  Each case also asks for digits past the product's end.
+    nonneg = [abs(v) for v in _strided(rng, g, 5, 60, 1.0)]
+    signed = _strided(rng, g, 7, 60, 1.0)
+    cases = [(nonneg, [abs(v) for v in signed]), (nonneg, signed)]
+    for v in (10**30, 2 * 10**30):
+        big = [0] * (g * 60)
+        big[::g] = [v] * 60
+        cases.append((big, [-x for x in big]))
+    for case, (xs, ys) in enumerate(cases):
+        for out_len in (len(xs) + len(ys) - 1, len(xs) + len(ys) + 5):
+            want = naive_conv(xs, ys, out_len)
+            assert _conv(xs, ys, out_len) == want, (g, "edge", case, out_len)
+        if case >= 2:
+            assert min(want) == -60 * xs[0] ** 2
 
 
 def test_conv_single_terms_and_empty():

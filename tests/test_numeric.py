@@ -174,11 +174,20 @@ def test_series_respect_the_scene_term_budget(series):
 )
 # at Im(tau) = 5 the windows shrink to one or two indices
 @example(re=0.1, im=5.0)
+# tau = U is a pole of mu(U, V; tau), inside the sampled box
+@example(re=0.3, im=0.2)
 def test_windows_hold_at_a_lower_floor(re, im):
     sc = NumericScene(complex(re, im))
     deep = NumericScene(sc.tau, series_term_floor=1e-30)
     for name, value_at in WINDOWED.items():
-        value = value_at(sc)
+        try:
+            value = value_at(sc)
+        except PoleError:
+            # only mu, and only at its pole, may raise; then at both floors
+            assert name == "mu_num" and abs(sc.tau - U) < 1e-14, (name, sc.tau)
+            with pytest.raises(PoleError):
+                value_at(deep)
+            continue
         assert abs(value - value_at(deep)) <= 1e-15 * max(1.0, abs(value)), (name, sc.tau)
 
 
@@ -225,7 +234,7 @@ def test_run_check_unknown_name():
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_each_check_passes_at_default_scene(name):
     r = run_check(name, SC)
-    assert r.passed, (name, r.residual, r.detail)
+    assert r.passed, (name, r.residual)
 
 
 def _watson_remainder(sc):
