@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 
-import mpmath
 from scipy import integrate, special
 
 from .cyclotomic import Cyc24
@@ -55,6 +54,9 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI_I = 2j * math.pi
+_SQRT_PI = math.sqrt(math.pi)
+# zeta24^k for the basis components k of Q(zeta24), as Cyc24.to_complex forms them
+_ZETA24 = tuple(cmath.exp(2j * cmath.pi * k / 24) for k in range(8))
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,23 @@ def _coerce(scene) -> NumericScene:
 
 
 def qseries_eval(series, tau) -> complex:
-    """Evaluate an exact QSeries at q = exp(2*pi*i*tau)."""
+    """Evaluate an exact QSeries at q = exp(2*pi*i*tau).
+
+    Each component's integer numerators are read in place: the nonzero slots
+    are picked out in C and each becomes one float v/d (correctly rounded,
+    like float(Fraction(v, d))) times zeta24^k.  Components are summed in
+    ascending k and exponents in ascending order, as Cyc24.to_complex and
+    nonzero_items do, so the value is that of the per-term evaluation."""
     tau = complex(tau)
+    coeffs = {}
+    for k, (d, nums) in sorted(series.comps.items()):
+        z = _ZETA24[k]
+        for i in compress(range(len(nums)), nums):
+            coeffs.setdefault(i, []).append(nums[i] / d * z)
     out = 0j
-    for e, c in series.nonzero_items():
-        out += complex(c.to_complex()) * cmath.exp(_TWO_PI_I * tau * e / 24)
+    for i in sorted(coeffs):
+        e = series.low + i
+        out += (sum(coeffs[i]) + 0j) * cmath.exp(_TWO_PI_I * tau * e / 24)
     return out
 
 
@@ -172,8 +186,8 @@ def E_num(z) -> complex:
     """E(z) = 2 * integral of exp(-pi u^2) from 0 to z  ( = erf(sqrt(pi) z) )."""
     z = complex(z)
     if z.imag == 0:
-        return complex(special.erf(math.sqrt(math.pi) * z.real))
-    return complex(mpmath.erf(math.sqrt(math.pi) * mpmath.mpc(z)))
+        return complex(special.erf(_SQRT_PI * z.real))
+    return complex(special.erf(_SQRT_PI * z))
 
 
 def beta_num(x) -> float:
@@ -240,7 +254,7 @@ def R_num(u, scene) -> complex:
             # sgn(n) - erf(x) = sgn(n) * erfc(sgn(n) * x): no 1 - erf cancellation,
             # whose error e^(pi y n^2) would then magnify
             sg = 1.0 if n > 0 else -1.0
-            w = sg * float(special.erfc(sg * math.sqrt(math.pi) * (n + a) * s2y))
+            w = sg * float(special.erfc(sg * _SQRT_PI * (n + a) * s2y))
             if w == 0.0:
                 continue
             sgn = -1 if round(n - 0.5) % 2 else 1
@@ -406,14 +420,17 @@ def _eichler_terms_from_zero(terms, scene, g_eval, c) -> complex:
 
         integral from ic of coef e^(pi i lam z)/sqrt(-i(z+tau)) dz
           = i coef e^(-pi lam c) e^(w0) Gamma(1/2, w0) / sqrt(pi lam),
-        w0 = pi lam (c - i tau)."""
+        w0 = pi lam (c - i tau),
+
+    with e^w Gamma(1/2, w) = sqrt(pi) erfcx(sqrt(w)) on the principal root,
+    since Re w0 = pi lam (c + Im tau) > 0."""
     tau = scene.tau
     out = 0j
     for lam, coef in terms:
         if lam <= 0 or coef == 0:
             continue
-        w0 = mpmath.mpc(math.pi * lam * (c - 1j * tau))
-        t = complex(mpmath.exp(w0) * mpmath.gammainc(0.5, w0))
+        w0 = math.pi * lam * (c - 1j * tau)
+        t = _SQRT_PI * complex(special.erfcx(cmath.sqrt(w0)))
         t = 1j * coef * math.exp(-math.pi * lam * c) / math.sqrt(math.pi * lam) * t
         out += t
 

@@ -42,7 +42,7 @@ component (`_stretched`), `dissect` slices with stride 24*m, and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd, lcm, ceil
 from operator import add, sub
 
@@ -498,7 +498,9 @@ class QSeries:
     def div_binomial(self, const, p):
         """Divide by (1 - const*q^(p/24)) with p > 0: a recurrence on the
         integer numerators for an integer const, else a product with the
-        geometric series."""
+        geometric series.  The recurrence out[i] += const*out[i-p] never mixes
+        residue classes mod p, so it runs only on the classes that hold a
+        nonzero, each as one strided slice."""
         if p <= 0:
             raise ValueError("div_binomial needs p > 0")
         c = const if isinstance(const, Cyc24) else Cyc24(const)
@@ -508,8 +510,8 @@ class QSeries:
             n = self.cap - self.low
             for k, (d, nums) in self.comps.items():
                 out = list(nums)
-                for i in range(p, n):
-                    out[i] += rn * out[i - p]
+                for r in {i % p for i in compress(range(n), nums)}:
+                    out[r::p] = accumulate(out[r::p], lambda prev, v: v + rn * prev)
                 acc[k] = (d, out)
             return QSeries(self.low, self.cap, acc)
         # any other ratio: multiply by the geometric series in const*q^p

@@ -13,7 +13,14 @@ take, so a test can compare the two:
 - `mordell_j_grid`: a Mordell integral by a fixed-step Simpson rule, against
   the adaptive quadrature of `numeric.mordell_j`;
 - `R_mpmath`: Zwegers' R(u; tau) summed at 60 digits straight from its
-  definition, against the double-precision `numeric.R_num`.
+  definition, against the double-precision `numeric.R_num`;
+- `E_mpmath`: E(z) = erf(sqrt(pi) z) at 40 digits, against `numeric.E_num`;
+- `eichler_tail_terms_mpmath`: each term of the Eichler-from-0 tail through
+  mpmath's incomplete gamma, against the erfcx form in
+  `numeric._eichler_terms_from_zero`;
+- `qseries_eval_terms`: an exact series evaluated term by term through
+  `nonzero_items` and `Cyc24.to_complex`, against `numeric.qseries_eval`,
+  which reads the integer arrays directly.
 
 The exact kernel runs its hot producers on each series' lattice; these
 full-grid versions of them are the references:
@@ -23,6 +30,8 @@ full-grid versions of them are the references:
 - `pochhammer_inf_dense`: the binomial chain of `etatheta.pochhammer_inf`
   on the full 1/24 grid;
 - `inv_full_grid`: `QSeries.inv` with its recurrence over every grid slot;
+- `div_binomial_full_grid`: the integer recurrence of `QSeries.div_binomial`
+  over every grid slot, not only the residue classes that hold a nonzero;
 - `compose_power_loop`: q -> q^k one coefficient at a time;
 - `dissect_terms`: `QSeries.dissect` through `nonzero_items` and
   `from_terms_per_term`.
@@ -164,6 +173,42 @@ def R_mpmath(u, tau, dps=60) -> complex:
         return complex(out)
 
 
+def E_mpmath(z, dps=40) -> complex:
+    """E(z) = erf(sqrt(pi) z) at dps digits."""
+    with mpmath.workdps(dps):
+        return complex(mpmath.erf(mpmath.sqrt(mpmath.pi) * mpmath.mpc(z)))
+
+
+def eichler_tail_terms_mpmath(terms, tau, c, dps=40):
+    """The terms i coef e^(-pi lam c) e^(w0) Gamma(1/2, w0) / sqrt(pi lam),
+    w0 = pi lam (c - i tau), of the Eichler-from-0 tail above z = i*c, each
+    through mpmath's upper incomplete gamma at dps digits; terms with
+    lam <= 0 or coef == 0 give 0."""
+    out = []
+    with mpmath.workdps(dps):
+        tau = mpmath.mpc(tau)
+        for lam, coef in terms:
+            if lam <= 0 or coef == 0:
+                out.append(0j)
+                continue
+            lam = mpmath.mpf(lam)
+            w0 = mpmath.pi * lam * (c - 1j * tau)
+            t = mpmath.exp(w0) * mpmath.gammainc(mpmath.mpf(1) / 2, w0)
+            t *= 1j * mpmath.mpmathify(coef) * mpmath.exp(-mpmath.pi * lam * c)
+            out.append(complex(t / mpmath.sqrt(mpmath.pi * lam)))
+    return out
+
+
+def qseries_eval_terms(series, tau) -> complex:
+    """sum c_e q^(e/24) at q = exp(2 pi i tau), one Cyc24 coefficient at a
+    time from nonzero_items."""
+    tau = complex(tau)
+    out = 0j
+    for e, c in series.nonzero_items():
+        out += complex(c.to_complex()) * cmath.exp(2j * math.pi * tau * e / 24)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # full-grid references for the exact kernel
 
@@ -242,6 +287,19 @@ def inv_full_grid(s) -> QSeries:
         bp = b._as_poly(prec)
         b = (bp + bp * (QSeries.one(prec) - a.truncate(prec) * bp)).truncate(prec)
     return b.shift(-s.low)
+
+
+def div_binomial_full_grid(s, const, p) -> QSeries:
+    """s / (1 - const q^(p/24)) for an integer const, p > 0, by the
+    recurrence out[i] += const * out[i - p] over every grid slot."""
+    n = s.cap - s.low
+    comps = {}
+    for k, (d, nums) in s.comps.items():
+        out = list(nums)
+        for i in range(p, n):
+            out[i] += const * out[i - p]
+        comps[k] = (d, out)
+    return QSeries(s.low, s.cap, comps)
 
 
 def compose_power_loop(s, k) -> QSeries:

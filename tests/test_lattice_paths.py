@@ -1,7 +1,7 @@
 """The lattice-compressed producers of the exact kernel against their
-full-grid references in `oracles`: pochhammer_inf, inv, dissect,
-compose_power and from_terms must give the same series, `low` and `cap`
-included."""
+full-grid references in `oracles`: pochhammer_inf, inv, div_binomial,
+dissect, compose_power and from_terms must give the same series, `low` and
+`cap` included."""
 
 from fractions import Fraction
 
@@ -13,6 +13,7 @@ from mockq.qseries import QSeries
 from oracles import (
     compose_power_loop,
     dissect_terms,
+    div_binomial_full_grid,
     from_terms_per_term,
     inv_full_grid,
     pochhammer_inf_dense,
@@ -95,6 +96,24 @@ def test_inv_matches_the_full_grid_recurrence(lead, e0, stride, tail, extra, len
         terms.append((e0 + stride * extra[1], zeta_pow(extra[0])))
     s = QSeries.from_terms(terms, e0 + length)
     assert same(s.inv(), inv_full_grid(s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=_WHOLE_TERMS,
+    stride=st.sampled_from([1, 8, 24]),
+    const=st.integers(-3, 3),
+    p=st.one_of(st.integers(1, 50), st.sampled_from([24, 48, 72, 120])),
+    cap=st.integers(-100, 1000),
+)
+def test_div_binomial_matches_the_full_grid_recurrence(terms, stride, const, p, cap):
+    """Supports on strides 1, 8 and 24, divided on strides that share a
+    factor with them or not: only the residue classes mod p that hold a
+    nonzero are walked, and the rest stay zero."""
+    s = QSeries.from_terms(
+        [(stride * t, _basis(k, Fraction(n, d))) for t, k, n, d in terms], cap
+    )
+    assert same(s.div_binomial(const, p), div_binomial_full_grid(s, const, p))
 
 
 @settings(max_examples=150, deadline=None)

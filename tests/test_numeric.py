@@ -1,11 +1,14 @@
 import cmath
 import math
+from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
+from mockq.cyclotomic import Cyc24
 from mockq.errors import ConvergenceError, PoleError
 from mockq.numeric import (
     CHECK_NAMES,
@@ -27,10 +30,24 @@ from mockq.numeric import (
     qseries_eval,
     run_check,
     theta_num,
+    _eichler_terms_from_zero,
+    _g012_terms,
     _g_ab_smart,
     _gab_terms,
+    _series,
+    _window,
 )
-from oracles import R_mpmath, eichler_quad_from_taubar, g012_num, g_eval, mordell_j_grid
+from mockq.qseries import QSeries
+from oracles import (
+    E_mpmath,
+    R_mpmath,
+    eichler_quad_from_taubar,
+    eichler_tail_terms_mpmath,
+    g012_num,
+    g_eval,
+    mordell_j_grid,
+    qseries_eval_terms,
+)
 
 SC = NumericScene(0.25 + 1j)
 
@@ -60,6 +77,18 @@ def test_E_and_beta_special_values():
         for n in range(40)
     )
     assert abs(E_num(zc) - series) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    re=st.floats(min_value=-4, max_value=4),
+    im=st.floats(min_value=-4, max_value=4),
+)
+@example(re=0.3, im=0.0)
+@example(re=-4.0, im=4.0)
+def test_E_matches_a_40_digit_erf(re, im):
+    want = E_mpmath(complex(re, im))
+    assert abs(E_num(complex(re, im)) - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_eta_against_high_precision_product():
@@ -218,12 +247,68 @@ def test_F_tail_bound_guard():
 
 
 def test_qseries_eval_geometric():
-    from mockq.qseries import QSeries
-
     s = QSeries.from_terms([(24 * k, 1) for k in range(200)], 24 * 200)
     tau = 0.05 + 0.8j
     q = cmath.exp(2j * math.pi * tau)
     assert abs(qseries_eval(s, tau) - 1 / (1 - q)) < 1e-12
+
+
+def _basis_term(e, k, num, den):
+    cs = [Fraction(0)] * 8
+    cs[k] = Fraction(num, den)
+    return e, Cyc24(cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            st.integers(-240, 600),
+            st.integers(0, 7),
+            st.integers(-9, 9),
+            st.sampled_from([1, 2, 3, 7, 24]),
+        ),
+        max_size=40,
+    ),
+    cap=st.integers(-200, 700),
+    re=st.floats(min_value=-0.5, max_value=0.5),
+    im=st.floats(min_value=0.2, max_value=2.0),
+)
+def test_qseries_eval_equals_the_term_walk(terms, cap, re, im):
+    """Several components, rational coefficients and negative exponents: the
+    array reading gives the per-term evaluation's value, bit for bit."""
+    s = QSeries.from_terms([_basis_term(*t) for t in terms], cap)
+    tau = complex(re, im)
+    assert qseries_eval(s, tau) == qseries_eval_terms(s, tau)
+
+
+@pytest.mark.parametrize("scene", SCENES, ids=lambda sc: repr(sc.tau))
+def test_qseries_eval_equals_the_term_walk_at_the_F_points(scene):
+    tau = scene.tau
+    for name in ("f", "omega"):
+        for point in (tau, tau / 2, (tau + 1) / 2):
+            got = qseries_eval(_series(name), point)
+            assert got == qseries_eval_terms(_series(name), point), (name, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    idx=st.sampled_from([0, 1, 2]),
+    re=st.floats(min_value=-0.5, max_value=0.5),
+    im=st.floats(min_value=0.2, max_value=2.0),
+)
+@example(idx=0, re=0.5, im=0.2)
+@example(idx=1, re=0.0, im=5.0)
+def test_eichler_tail_terms_match_incomplete_gamma(idx, re, im):
+    """Every term of the Eichler-from-0 tail in eichler_integral's window,
+    summed alone (a zero integrand below i*c), against mpmath's gammainc."""
+    sc = NumericScene(complex(re, im))
+    c = min(1.0, im)
+    M = _window(sc, 3 * math.pi * c, 0.0, first=2)
+    terms = list(islice(_g012_terms(idx), 2 * M + 2))
+    for term, want in zip(terms, eichler_tail_terms_mpmath(terms, sc.tau, c)):
+        got = _eichler_terms_from_zero([term], sc, lambda z: 0j, c)
+        assert abs(got - want) <= 1e-14 * abs(want), (term, got, want)
 
 
 def test_run_check_unknown_name():

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import mockq
 
@@ -17,3 +20,20 @@ def test_every_exported_name_resolves():
         if not hasattr(mod, name)
     ]
     assert missing == []
+
+
+def test_the_numeric_engine_runs_without_mpmath():
+    """mpmath is a test oracle only: importing mockq and running the checks
+    that use the Eichler-from-0 tail and the exact series must not load it."""
+    src = os.path.dirname(os.path.dirname(mockq.__file__))
+    code = (
+        "import sys, mockq\n"
+        "for name in ('lemma33', 'consistency-newf'):\n"
+        "    assert mockq.run_check(name, mockq.NumericScene(1j)).passed, name\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
