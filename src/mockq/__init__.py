@@ -49,7 +49,6 @@ from .numeric import (
     mu_num,
     mu_tilde_num,
     qseries_eval,
-    run_battery,
     run_check,
 )
 from .qseries import QSeries
@@ -95,7 +94,6 @@ __all__ = [
     "mu_num",
     "mu_tilde_num",
     "run_check",
-    "run_battery",
     "MockqError",
     "GridError",
     "PoleError",

@@ -30,10 +30,8 @@ __all__ = [
     "theta_Theta",
     "theta3",
     "delta_triangular",
-    "delta_P0_P1",
     "psi_product",
     "phi_theta",
-    "phi_theta_product",
     "vartheta_onethird",
 ]
 
@@ -264,15 +262,6 @@ def delta_triangular(cap) -> QSeries:
     return QSeries.from_terms(terms, cap)
 
 
-def delta_P0_P1(cap):
-    """(Delta, P0, P1) with Delta(q) = P0(q^3) + q*P1(q^3)."""
-    delta = delta_triangular(cap)
-    p0 = euler_E(2, cap) * euler_E(3, cap) * euler_E(3, cap)
-    p0 = p0 * euler_E_inv(6, p0.cap) * euler_E_inv(1, p0.cap)
-    p1 = euler_E(6, cap) * euler_E(6, cap) * euler_E_inv(3, cap)
-    return delta, p0.truncate(cap), p1.truncate(cap)
-
-
 def psi_product(cap) -> QSeries:
     """(q^2;q^2)_inf / (q;q^2)_inf = E(q^2)^2 / E(q)."""
     out = euler_E(2, cap) * euler_E(2, cap)
@@ -288,12 +277,6 @@ def phi_theta(cap) -> QSeries:
         terms.append((24 * n * n, c if n == 0 else 2 * c))
         n += 1
     return QSeries.from_terms(terms, cap)
-
-
-def phi_theta_product(cap) -> QSeries:
-    """E(q)^2 / E(q^2), the product form of phi."""
-    out = euler_E(1, cap) * euler_E(1, cap)
-    return (out * euler_E_inv(2, out.cap)).truncate(cap)
 
 
 def vartheta_onethird(cap):

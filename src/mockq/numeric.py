@@ -4,6 +4,10 @@ non-holomorphic correction R, the completed mu-tilde, the weight-3/2 theta
 series g_{a,b}, Eichler period integrals, Watson's Mordell integrals and the
 vector-valued triples F, G, H, plus a named battery of transformation checks.
 
+F is read from the Lerch-sum rows F_MU_REP and H2_MU_REP of registry.MU_REPS,
+and g0, g1, g2 from their g_{a,b} hooks, so each quantity has one coding.
+Exact series are evaluated only by the consistency checks (qseries_eval).
+
 Conventions: q = exp(2*pi*i*tau), principal square roots throughout
 (Re(-i*tau) = Im(tau) > 0 keeps sqrt(-i*tau) well-defined on the upper
 half-plane).
@@ -15,14 +19,12 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cache
-from fractions import Fraction
 from itertools import compress, islice
 
 from scipy import integrate, special
 
 from .cyclotomic import Cyc24
 from .errors import ConvergenceError, PoleError
-from .mocktheta import f_eulerian, omega_eulerian
 from .registry import MU_REPS, _catalog_map
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "R_vec_theta",
     "R_vec_mordell",
     "run_check",
-    "run_battery",
     "CHECK_NAMES",
 ]
 
@@ -62,7 +63,6 @@ _ZETA24 = tuple(cmath.exp(2j * cmath.pi * k / 24) for k in range(8))
 @dataclass(frozen=True)
 class NumericScene:
     tau: complex
-    abs_tol: float = 1e-8
     series_term_floor: float = 1e-18
     quad_rel_tol: float = 1e-12
     max_terms: int = 4000
@@ -70,7 +70,7 @@ class NumericScene:
     def __post_init__(self):
         if not (self.tau.imag > 0):
             raise ValueError("scene needs Im(tau) > 0")
-        if min(self.abs_tol, self.series_term_floor, self.quad_rel_tol) <= 0:
+        if min(self.series_term_floor, self.quad_rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
         if self.series_term_floor >= 1:
             raise ValueError("series_term_floor must be below 1")
@@ -318,27 +318,19 @@ def _g_ab_sum(a, b, sc) -> complex:
     return out
 
 
-# the g_{a,b} hooks: g2(z) = g_{1/3,0}(3z), g1(z) = -g_{1/6,0}(3z),
-# g0(z) = e^(-pi i/3) g_{1/3,1/2}(3z); exposed as term generators below so the
-# Eichler integrals can be reduced in closed form per term.
+_G012_HOOKS = (
+    # (k, a, b) with g_idx(z) = k g_{a,b}(3z): g0(z) = e^(-pi i/3) g_{1/3,1/2}(3z),
+    # g1 = -g_{1/6,0}(3z), g2 = g_{1/3,0}(3z)
+    (cmath.exp(-1j * math.pi / 3), 1.0 / 3, 0.5),
+    (-1.0, 1.0 / 6, 0.0),
+    (1.0, 1.0 / 3, 0.0),
+)
 
 
 def _g012_terms(idx):
     """Yield (lam, coef) with g_idx(z) = sum coef * e^(pi i lam z)."""
-    m = 0
-    while True:
-        for n in (m, -m - 1):
-            if idx == 0:
-                r = n + Fraction(1, 3)
-                c = (-1) ** (n & 1) * float(r)
-            elif idx == 1:
-                r = n + Fraction(1, 6)
-                c = -float(r)
-            else:
-                r = n + Fraction(1, 3)
-                c = float(r)
-            yield 3 * float(r) ** 2, c
-        m += 1
+    k, a, b = _G012_HOOKS[idx]
+    return ((3 * lam, k * coef) for lam, coef in _gab_terms(a, b))
 
 
 def _gab_terms(a, b):
@@ -399,14 +391,6 @@ def _g_ab_smart(a, b, w) -> complex:
     )
 
 
-_G012_HOOKS = (
-    # g0(z) = e^(-pi i/3) g_{1/3,1/2}(3z); g1 = -g_{1/6,0}(3z); g2 = g_{1/3,0}(3z)
-    (cmath.exp(-1j * math.pi / 3), 1.0 / 3, 0.5),
-    (-1.0, 1.0 / 6, 0.0),
-    (1.0, 1.0 / 3, 0.0),
-)
-
-
 def _g012_smart(idx, z) -> complex:
     c, a, b = _G012_HOOKS[idx]
     return c * _g_ab_smart(a, b, 3 * z)
@@ -459,11 +443,12 @@ def eichler_integral(idx, scene, lower="taubar") -> complex:
     if lower not in ("taubar", "zero"):
         raise ValueError("lower must be 'taubar' or 'zero'")
     c = min(1.0, sc.tau.imag)
-    # pair m has lam = 3 r^2 with |r| >= m and |coef| = |r|: |term| <= e^(-3 pi y r^2)
-    # from -conj(tau), and e^(-3 pi c r^2) from 0, whose term sum starts at i*c
+    # as in eichler_gab, with lam = 3 n^2: |term| <= e^(-3 pi y n^2) from
+    # -conj(tau), and e^(-3 pi c n^2) from 0, whose term sum starts at i*c
+    a = _G012_HOOKS[idx][1]
     rate = 3 * math.pi * (sc.tau.imag if lower == "taubar" else c)
-    M = _window(sc, rate, 0.0, first=2)
-    terms = islice(_g012_terms(idx), 2 * M + 2)
+    M = _window(sc, rate, 2 * rate * a)
+    terms = islice(_g012_terms(idx), 2 * M + 1)
     if lower == "taubar":
         return _eichler_terms_from_taubar(terms, sc)
     return _eichler_terms_from_zero(terms, sc, lambda z: _g012_smart(idx, z), c)
@@ -510,32 +495,36 @@ def mordell_j(idx, scene) -> complex:
 # ---------------------------------------------------------------------------
 # the vectors F, G, H
 
-_F_ORDER = 220
-_SERIES_CACHE = {}
+_MU_REPS = {r.id: r for r in MU_REPS}
 
 
-def _series(name):
-    if name not in _SERIES_CACHE:
-        cap = 24 * _F_ORDER + 1
-        _SERIES_CACHE[name] = (
-            f_eulerian(cap) if name == "f" else omega_eulerian(cap)
-        )
-    return _SERIES_CACHE[name]
+def _mu_rep_num(rep, scene) -> complex:
+    """The registry.MuRep row rep in floats, at the scene's tau."""
+    sc = _coerce(scene)
+    tau = sc.tau
+    quot = 1.0 + 0j
+    for m, r in rep.eta.factors:
+        quot *= eta_num(sc.at(float(m) * tau)) ** r
+    (u0, u1), (v0, v1) = rep.u, rep.v
+    mu = mu_num(float(u0) * tau + float(u1), float(v0) * tau + float(v1), sc.at(rep.M * tau))
+    return (
+        Cyc24(rep.const).to_complex()
+        + Cyc24(rep.eta_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.eta_shift / 24) * quot
+        + Cyc24(rep.mu_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.mu_shift / 24) * mu
+    )
 
 
 def F_num(scene):
     """(f0, f1, f2) = (q^(-1/24) f(q), 2 q^(1/3) omega(q^(1/2)),
-    2 q^(1/3) omega(-q^(1/2))), from the Eulerian coefficient streams."""
+    2 q^(1/3) omega(-q^(1/2))), read from the rows F_MU_REP (f0) and H2_MU_REP
+    (f2) of registry.MU_REPS; f1(tau) = e^(-2 pi i/3) f2(tau+1)."""
     sc = _coerce(scene)
-    tau = sc.tau
-    half_abs = math.exp(-math.pi * tau.imag)
-    if half_abs**_F_ORDER / (1 - half_abs) > sc.abs_tol:
-        raise ConvergenceError("Im(tau) too small for the configured series order")
-    q3 = cmath.exp(_TWO_PI_I * tau / 3)
-    f0 = cmath.exp(-_TWO_PI_I * tau / 24) * qseries_eval(_series("f"), tau)
-    f1 = 2 * q3 * qseries_eval(_series("omega"), tau / 2)
-    f2 = 2 * q3 * qseries_eval(_series("omega"), (tau + 1) / 2)
-    return (f0, f1, f2)
+    h2 = _MU_REPS["H2_MU_REP"]
+    return (
+        _mu_rep_num(_MU_REPS["F_MU_REP"], sc),
+        cmath.exp(-_TWO_PI_I / 3) * _mu_rep_num(h2, sc.at(sc.tau + 1)),
+        _mu_rep_num(h2, sc),
+    )
 
 
 def G_num(scene):
@@ -741,23 +730,6 @@ def _check_t_transform(sc):
 
 
 _CONSISTENCY_ORDER = 200
-_MU_REPS = {r.id: r for r in MU_REPS}
-
-
-def _mu_rep_num(rep, scene) -> complex:
-    """The registry.MuRep row rep in floats, at the scene's tau."""
-    sc = _coerce(scene)
-    tau = sc.tau
-    quot = 1.0 + 0j
-    for m, r in rep.eta.factors:
-        quot *= eta_num(sc.at(float(m) * tau)) ** r
-    (u0, u1), (v0, v1) = rep.u, rep.v
-    mu = mu_num(float(u0) * tau + float(u1), float(v0) * tau + float(v1), sc.at(rep.M * tau))
-    return (
-        Cyc24(rep.const).to_complex()
-        + Cyc24(rep.eta_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.eta_shift / 24) * quot
-        + Cyc24(rep.mu_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.mu_shift / 24) * mu
-    )
 
 
 @cache
@@ -814,9 +786,3 @@ def run_check(name, scene=None, tol=None) -> CheckResult:
     fn, default_tol = _CHECKS[name]
     sc = _coerce(scene) if scene is not None else SCENES[0]
     return CheckResult(name, sc.tau, fn(sc), tol if tol is not None else default_tol)
-
-
-def run_battery(names=None, scenes=None):
-    names = list(names) if names is not None else list(CHECK_NAMES)
-    scenes = list(scenes) if scenes is not None else list(SCENES)
-    return [run_check(n, sc) for n in names for sc in scenes]

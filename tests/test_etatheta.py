@@ -7,14 +7,12 @@ from mockq.errors import GridError
 from mockq.etatheta import (
     EtaQuotientSpec,
     Monomial,
-    delta_P0_P1,
     delta_triangular,
     eta_quotient,
     euler_E,
     euler_E_inv,
     jtp_product,
     phi_theta,
-    phi_theta_product,
     pochhammer_fin,
     pochhammer_inf,
     psi_product,
@@ -24,6 +22,21 @@ from mockq.etatheta import (
 )
 from mockq.qseries import QSeries
 from oracles import euler_E_product
+
+
+def delta_P0_P1(cap):
+    """(Delta, P0, P1) with Delta(q) = P0(q^3) + q*P1(q^3)."""
+    delta = delta_triangular(cap)
+    p0 = euler_E(2, cap) * euler_E(3, cap) * euler_E(3, cap)
+    p0 = p0 * euler_E_inv(6, p0.cap) * euler_E_inv(1, p0.cap)
+    p1 = euler_E(6, cap) * euler_E(6, cap) * euler_E_inv(3, cap)
+    return delta, p0.truncate(cap), p1.truncate(cap)
+
+
+def phi_theta_product(cap) -> QSeries:
+    """E(q)^2 / E(q^2), the product form of phi."""
+    out = euler_E(1, cap) * euler_E(1, cap)
+    return (out * euler_E_inv(2, out.cap)).truncate(cap)
 
 
 def assert_eq(a, b, order=None):

@@ -1,6 +1,8 @@
 import cmath
 import math
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import mpmath
@@ -10,6 +12,7 @@ from scipy import integrate
 
 from mockq.cyclotomic import Cyc24
 from mockq.errors import ConvergenceError, PoleError
+from mockq.mocktheta import f_eulerian, omega_eulerian
 from mockq.numeric import (
     CHECK_NAMES,
     E_num,
@@ -30,11 +33,11 @@ from mockq.numeric import (
     qseries_eval,
     run_check,
     theta_num,
+    _G012_HOOKS,
     _eichler_terms_from_zero,
     _g012_terms,
     _g_ab_smart,
     _gab_terms,
-    _series,
     _window,
 )
 from mockq.qseries import QSeries
@@ -56,7 +59,7 @@ def test_scene_validation():
     with pytest.raises(ValueError):
         NumericScene(0.5 - 1j)
     with pytest.raises(ValueError):
-        NumericScene(1j, abs_tol=-1)
+        NumericScene(1j, quad_rel_tol=-1)
     # the truncation windows solve for terms below the floor
     with pytest.raises(ValueError):
         NumericScene(1j, series_term_floor=1.0)
@@ -186,14 +189,15 @@ WINDOWED = {
     "eichler_gab": lambda sc: eichler_gab(1 / 3, 0, sc),
     "eichler_integral-taubar": lambda sc: eichler_integral(0, sc),
     "eichler_integral-zero": lambda sc: eichler_integral(1, sc, lower="zero"),
+    "F_num": F_num,
 }
 
 
 @pytest.mark.parametrize("series", WINDOWED)
 def test_series_respect_the_scene_term_budget(series):
-    # every window at this scene holds more than 5 summands
+    # every window at this scene holds more than 4 summands
     with pytest.raises(ConvergenceError):
-        WINDOWED[series](NumericScene(0.25 + 1j, max_terms=5))
+        WINDOWED[series](NumericScene(0.25 + 1j, max_terms=4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,7 +221,10 @@ def test_windows_hold_at_a_lower_floor(re, im):
             with pytest.raises(PoleError):
                 value_at(deep)
             continue
-        assert abs(value - value_at(deep)) <= 1e-15 * max(1.0, abs(value)), (name, sc.tau)
+        # F_num returns a triple, every other entry one value
+        pairs = zip(*(v if isinstance(v, tuple) else (v,) for v in (value, value_at(deep))))
+        for v, d in pairs:
+            assert abs(v - d) <= 1e-15 * max(1.0, abs(v)), (name, sc.tau)
 
 
 def test_g_eval_raises_when_the_term_budget_runs_out():
@@ -239,11 +246,6 @@ def test_mordell_quad_vs_grid():
 def test_mordell_j3_real_at_imaginary_tau():
     val = mordell_j(3, NumericScene(1j))
     assert abs(val.imag) < 1e-10
-
-
-def test_F_tail_bound_guard():
-    with pytest.raises(Exception):
-        F_num(NumericScene(0.01j))
 
 
 def test_qseries_eval_geometric():
@@ -282,13 +284,19 @@ def test_qseries_eval_equals_the_term_walk(terms, cap, re, im):
     assert qseries_eval(s, tau) == qseries_eval_terms(s, tau)
 
 
+@cache
+def _eulerian(name, order):
+    """f or omega from its Eulerian definition, to q^order."""
+    return (f_eulerian if name == "f" else omega_eulerian)(24 * order + 1)
+
+
 @pytest.mark.parametrize("scene", SCENES, ids=lambda sc: repr(sc.tau))
 def test_qseries_eval_equals_the_term_walk_at_the_F_points(scene):
     tau = scene.tau
     for name in ("f", "omega"):
+        series = _eulerian(name, 220)
         for point in (tau, tau / 2, (tau + 1) / 2):
-            got = qseries_eval(_series(name), point)
-            assert got == qseries_eval_terms(_series(name), point), (name, point)
+            assert qseries_eval(series, point) == qseries_eval_terms(series, point), (name, point)
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,8 +312,9 @@ def test_eichler_tail_terms_match_incomplete_gamma(idx, re, im):
     summed alone (a zero integrand below i*c), against mpmath's gammainc."""
     sc = NumericScene(complex(re, im))
     c = min(1.0, im)
-    M = _window(sc, 3 * math.pi * c, 0.0, first=2)
-    terms = list(islice(_g012_terms(idx), 2 * M + 2))
+    rate = 3 * math.pi * c
+    M = _window(sc, rate, 2 * rate * _G012_HOOKS[idx][1])
+    terms = list(islice(_g012_terms(idx), 2 * M + 1))
     for term, want in zip(terms, eichler_tail_terms_mpmath(terms, sc.tau, c)):
         got = _eichler_terms_from_zero([term], sc, lambda z: 0j, c)
         assert abs(got - want) <= 1e-14 * abs(want), (term, got, want)
@@ -320,6 +329,40 @@ def test_run_check_unknown_name():
 def test_each_check_passes_at_default_scene(name):
     r = run_check(name, SC)
     assert r.passed, (name, r.residual)
+
+
+# Im(tau) = 0.05 and 0.0575 lie far below the fixed scenes
+@pytest.mark.parametrize(
+    "tau", [s.tau for s in SCENES] + [-0.2 + 0.05j, -0.3489 + 0.0575j], ids=repr
+)
+def test_F_matches_the_eulerian_definitions(tau):
+    """F from its mu-representation rows against f and omega summed from their
+    Eulerian definitions to q^800, each entry read straight from its
+    definition: f1 from omega(q^(1/2)), f2 from omega(-q^(1/2))."""
+    q3 = cmath.exp(2j * math.pi * tau / 3)
+    want = (
+        cmath.exp(-2j * math.pi * tau / 24) * qseries_eval(_eulerian("f", 800), tau),
+        2 * q3 * qseries_eval(_eulerian("omega", 800), tau / 2),
+        2 * q3 * qseries_eval(_eulerian("omega", 800), (tau + 1) / 2),
+    )
+    for i, (got, w) in enumerate(zip(F_num(tau), want)):
+        assert abs(got - w) <= 1e-10 * max(1.0, abs(w)), (i, got, w)
+
+
+_rng = random.Random(5)
+SMALL_IM_TAUS = [complex(_rng.uniform(-0.5, 0.5), _rng.uniform(0.03, 0.2)) for _ in range(20)]
+
+
+@pytest.mark.parametrize("name", ["watson-lemma", "s-transform", "t-transform"])
+def test_F_checks_hold_off_the_fixed_scenes(name):
+    """The checks that read F pass near the real axis and at 2.79+0.46i, where
+    a fixed-order Eulerian F missed by up to 2e-5."""
+    fails = [
+        (tau, r.residual)
+        for tau in SMALL_IM_TAUS + [2.79 + 0.46j]
+        if not (r := run_check(name, tau)).passed
+    ]
+    assert fails == []
 
 
 def _watson_remainder(sc):

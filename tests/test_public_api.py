@@ -24,11 +24,12 @@ def test_every_exported_name_resolves():
 
 def test_the_numeric_engine_runs_without_mpmath():
     """mpmath is a test oracle only: importing mockq and running the checks
-    that use the Eichler-from-0 tail and the exact series must not load it."""
+    that use the Eichler-from-0 tail, the exact series and F's mu-representation
+    rows must not load it."""
     src = os.path.dirname(os.path.dirname(mockq.__file__))
     code = (
         "import sys, mockq\n"
-        "for name in ('lemma33', 'consistency-newf'):\n"
+        "for name in ('lemma33', 'consistency-newf', 'watson-lemma'):\n"
         "    assert mockq.run_check(name, mockq.NumericScene(1j)).passed, name\n"
         "print('mpmath' in sys.modules)\n"
     )
