@@ -1,8 +1,10 @@
 """Classical q-series building blocks: Euler products, eta quotients,
-Jacobi triple product, theta functions and the triangular-number helpers.
+Jacobi triple product and theta functions.
 
-All constructors return QSeries on the 1/24 exponent grid.  E(q) is built
-from the pentagonal-number series (O(sqrt(N)) terms).
+All constructors return QSeries on the 1/24 exponent grid.  Every bilateral
+series here is a Lerch sum with no denominator (c_const = 0) expanded by
+lerch.lerch_expand: E(q) from the pentagonal-number series (O(sqrt(N))
+terms), the theta sums and the half-integer theta of vartheta_onethird.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import NamedTuple
 
 from .cyclotomic import Cyc24, ONE as CONE, exp_pi_i, zeta_pow
 from .errors import GridError
+from .lerch import LerchSpec, lerch_expand
 from .qseries import QSeries
 
 __all__ = [
@@ -29,9 +32,6 @@ __all__ = [
     "theta_sum",
     "theta_Theta",
     "theta3",
-    "delta_triangular",
-    "psi_product",
-    "phi_theta",
     "vartheta_onethird",
 ]
 
@@ -70,23 +70,11 @@ def euler_E(m, cap) -> QSeries:
     key = g
     cached = _E_CACHE.get(key)
     if cached is None or cached.cap < cap:
-        cached = _pentagonal(g, max(cap, 1))
+        # sum (-1)^n q^(m n(3n-1)/2)
+        spec = LerchSpec(A=Fraction(3 * g, 48), B=Fraction(-g, 48), c_const=0)
+        cached = lerch_expand(spec, max(cap, 1))
         _E_CACHE[key] = cached
     return cached.truncate(cap)
-
-
-def _pentagonal(g, cap):
-    terms = []
-    k = 0
-    while True:
-        for kk in ((k, -k) if k else (0,)):
-            e = g * kk * (3 * kk - 1) // 2
-            if e < cap:
-                terms.append((e, -1 if kk % 2 else 1))
-        if g * k * (3 * k - 1) // 2 >= cap and k > 0:
-            break
-        k += 1
-    return QSeries.from_terms(terms, cap)
 
 
 def euler_E_inv(m, cap) -> QSeries:
@@ -213,19 +201,7 @@ def jtp_product(z: Monomial, cap):
 
 def theta_sum(z: Monomial, cap) -> QSeries:
     """sum_{n in Z} (-1)^n z^n q^(n^2)."""
-    terms = []
-    zinv = z.const.inverse()
-    pos = neg = CONE  # z^n and z^-n, one multiplication per step
-    n = 0
-    while 24 * n * n - n * abs(z.pow) < cap or n <= abs(z.pow) // 48 + 1:
-        if n:
-            pos, neg = pos * z.const, neg * zinv
-        for nn, c in ((n, pos), (-n, neg)) if n else ((0, CONE),):
-            e = 24 * nn * nn + nn * z.pow
-            if e < cap:
-                terms.append((e, -c if nn % 2 else c))
-        n += 1
-    return QSeries.from_terms(terms, cap)
+    return lerch_expand(LerchSpec(A=1, rho_const=z.const, rho_qpow=z.pow, c_const=0), cap)
 
 
 def theta_Theta(z: Monomial, m, cap) -> QSeries:
@@ -239,44 +215,8 @@ def theta_Theta(z: Monomial, m, cap) -> QSeries:
 
 def theta3(cap, m=1) -> QSeries:
     """Theta_3(q^m) = sum_{n in Z} q^(m n^2)."""
-    g = _grid_mult(m)
-    terms = []
-    n = 0
-    while g * n * n < cap:
-        terms.append((g * n * n, 1 if n == 0 else 2))
-        n += 1
-    return QSeries.from_terms(terms, cap)
-
-
-# ---------------------------------------------------------------------------
-# triangular-number series and section helpers
-
-
-def delta_triangular(cap) -> QSeries:
-    """Delta(q) = sum_{n>=0} q^(n(n+1)/2)."""
-    terms = []
-    n = 0
-    while 12 * n * (n + 1) < cap:
-        terms.append((12 * n * (n + 1), 1))
-        n += 1
-    return QSeries.from_terms(terms, cap)
-
-
-def psi_product(cap) -> QSeries:
-    """(q^2;q^2)_inf / (q;q^2)_inf = E(q^2)^2 / E(q)."""
-    out = euler_E(2, cap) * euler_E(2, cap)
-    return (out * euler_E_inv(1, out.cap)).truncate(cap)
-
-
-def phi_theta(cap) -> QSeries:
-    """phi(q) = sum_{n in Z} (-1)^n q^(n^2)."""
-    terms = []
-    n = 0
-    while 24 * n * n < cap:
-        c = -1 if n % 2 else 1
-        terms.append((24 * n * n, c if n == 0 else 2 * c))
-        n += 1
-    return QSeries.from_terms(terms, cap)
+    spec = LerchSpec(A=Fraction(_grid_mult(m), 24), global_sign=1, c_const=0)
+    return lerch_expand(spec, cap)
 
 
 def vartheta_onethird(cap):
@@ -287,14 +227,9 @@ def vartheta_onethird(cap):
     prefactor exp(5*pi*i/6)*(3/2 + i*sqrt(3)/2) of the closed form collapses
     to the exact constant -sqrt(3) = -(2*zeta^2 - zeta^6).
     """
-    terms = []
-    m = 0
-    while 24 * (m * m + m) + 6 < cap:
-        for mm in (m, -m - 1):
-            # n = mm + 1/2 runs over half-integers; q-exponent n^2 = m^2+m+1/4
-            terms.append((24 * (mm * mm + mm) + 6, exp_pi_i(Fraction(5 * (2 * mm + 1), 6))))
-        m += 1
-    lhs = QSeries.from_terms(terms, cap)
+    # with n = k/2 for odd k: sum over odd k of e^(5 pi i k/6) q^(k^2/4)
+    spec = LerchSpec(A=Fraction(1, 4), rho_const=exp_pi_i(Fraction(5, 6)), global_sign=1, c_const=0)
+    lhs = lerch_expand(spec, cap, residue=(2, 1))
     sqrt3 = 2 * zeta_pow(2) - zeta_pow(6)
     rhs = euler_E(6, cap).scale(-sqrt3).shift(6).truncate(cap)
     return lhs, rhs

@@ -3,7 +3,9 @@
     sum_{n in Z} (-1)^n rho^n q^(A n^2 + B n + C) / (1 - c q^(D n + E)),
 
 into exact QSeries.  This one engine drives the crank sums, the Watson
-sums, the mu specializations and the residue-class Y-sums.
+sums, the mu specializations and the residue-class Y-sums, and, with
+c = 0 (no denominator), the theta and pentagonal series of etatheta, so
+_n_window is the kernel's one bilateral-sum stopping rule.
 """
 
 from __future__ import annotations
@@ -11,19 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
-from math import ceil, isqrt
+from math import ceil, isqrt, lcm
 
 from .cyclotomic import Cyc24, ONE as CONE, exp_pi_i, zeta_pow
 from .errors import GridError, PoleError, ThetaVanishesError
-from .etatheta import (
-    Monomial,
-    euler_E,
-    pochhammer_inf,
-    theta_Theta,
-    theta3,
-    theta_sum,
-)
 from .qseries import QSeries
+
+# etatheta builds its theta series here, so the functions below that need
+# etatheta import it when called
 
 __all__ = ["LerchSpec", "lerch_expand", "crank_pair", "thetaid_pair", "mu_formal"]
 
@@ -32,7 +29,8 @@ __all__ = ["LerchSpec", "lerch_expand", "crank_pair", "thetaid_pair", "mu_formal
 class LerchSpec:
     """Parameters of the bilateral sum; A,B,C,D,E are exponents in q-units,
     rho_qpow is a grid exponent carried by rho (so rho = rho_const * q^(rho_qpow/24)).
-    global_sign = -1 keeps the (-1)^n factor, +1 drops it."""
+    global_sign = -1 keeps the (-1)^n factor, +1 drops it.  c_const = 0 means
+    no denominator: the sum is a plain theta series and D, E are unused."""
 
     A: Fraction
     B: Fraction = Fraction(0)
@@ -58,22 +56,33 @@ class LerchSpec:
             raise ValueError("lerch spec needs A > 0")
         if self.global_sign not in (1, -1):
             raise ValueError("global_sign must be +-1")
+        # the grid exponents as integer polynomials in n over one denominator
+        a, b, c = 24 * self.A, 24 * self.B + self.rho_qpow, 24 * self.C
+        den = lcm(a.denominator, b.denominator, c.denominator)
+        object.__setattr__(self, "_num", (int(a * den), int(b * den), int(c * den), den))
+        d, e = 24 * self.D, 24 * self.E
+        den = lcm(d.denominator, e.denominator)
+        object.__setattr__(self, "_den", (int(d * den), int(e * den), den))
 
     # the constant multiplying term n, (+-rho_const)^n
     def _base(self) -> Cyc24:
         return -self.rho_const if self.global_sign == -1 else self.rho_const
 
     def num_grid(self, n: int) -> int:
-        e = 24 * (self.A * n * n + self.B * n + self.C) + self.rho_qpow * n
-        if e.denominator != 1:
+        """24*(A n^2 + B n + C) + rho_qpow*n."""
+        a, b, c, den = self._num
+        e, r = divmod((a * n + b) * n + c, den)
+        if r:
             raise GridError("numerator exponent off grid at n=%d" % n)
-        return int(e)
+        return e
 
     def den_grid(self, n: int) -> int:
-        p = 24 * (self.D * n + self.E)
-        if p.denominator != 1:
+        """24*(D n + E)."""
+        d, e, den = self._den
+        p, r = divmod(d * n + e, den)
+        if r:
             raise GridError("denominator exponent off grid at n=%d" % n)
-        return int(p)
+        return p
 
 
 def _n_window(spec: LerchSpec, cap: int):
@@ -113,7 +122,8 @@ def _geometric_tail(coef: Cyc24, ratio: Cyc24, order, count):
 def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
     """Exact expansion below grid cap.  residue=(m, j) keeps only n = j mod m.
 
-    Each term n expands 1/(1 - c q^p) as a geometric tail.  When c^r = 1
+    With c = 0 each term n is the single monomial base^n q^(e0).  Otherwise
+    each term n expands 1/(1 - c q^p) as a geometric tail.  When c^r = 1
     for some r <= 24 (every c of the catalog), the coefficients of a tail
     repeat with period r, so only its first r are multiplied out and the
     rest reuse them cyclically; any other c keeps the multiply chain.  The
@@ -125,19 +135,22 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
         base_orbit = _geometric_tail(CONE, base, base_order, base_order)
     N = _n_window(spec, cap)
     c = spec.c_const
-    order = _root_order(c)
+    plain = not c  # c = 0: no denominator
+    order = None if plain else _root_order(c)
     cinv = None
     terms = []
     for n in range(-N, N + 1):
         if residue is not None and n % residue[0] != residue[1] % residue[0]:
             continue
         e0 = spec.num_grid(n)
-        p = spec.den_grid(n)
+        p = 0 if plain else spec.den_grid(n)
         lowest = e0 if p >= 0 else e0 - p
         if lowest >= cap:
             continue
         coef = base**n if base_order is None else base_orbit[n % base_order]
-        if p > 0:
+        if plain:
+            terms.append((e0, coef))
+        elif p > 0:
             exps = range(e0, cap, p)
             terms += zip(exps, cycle(_geometric_tail(coef, c, order, len(exps))))
         elif p == 0:
@@ -161,6 +174,8 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
 def crank_pair(z: Monomial, cap: int, qmult: int = 1):
     """Both sides of E(Q)/((zQ; Q)(z^-1 Q; Q)) =
     (1-z)/E(Q) * sum (-1)^n Q^(n(n+1)/2)/(1 - z Q^n) with Q = q^qmult."""
+    from .etatheta import Monomial, euler_E, pochhammer_inf
+
     g = 24 * qmult
     work = cap + 2 * abs(z.pow) + 2 * g
     den = pochhammer_inf(Monomial(z.const, z.pow + g), g, work)
@@ -190,6 +205,8 @@ def thetaid_pair(z: Monomial, cap: int):
 
     The LHS uses (1-w)/(1+w) = -1 + 2/(1+w) and runs through lerch_expand.
     """
+    from .etatheta import Monomial, theta3, theta_Theta, theta_sum
+
     spec = LerchSpec(
         A=Fraction(1),
         rho_const=z.const,
@@ -263,6 +280,8 @@ def _vartheta_series(ap: Fraction, bp: Fraction, M: int, cap: int) -> QSeries:
     """vartheta(a'*tau + b'; M*tau) by the triple product, on the q-grid:
     -i Q^(1/8) zeta^(-1/2) prod (1-Q^n)(1-zeta Q^(n-1))(1-zeta^-1 Q^n),
     Q = q^M, zeta = e^(2 pi i b') q^(a')."""
+    from .etatheta import Monomial, theta_Theta
+
     const = Cyc24(-1) * zeta_pow(6) * exp_pi_i(-bp)
     sh = 3 * M - 12 * ap
     if sh.denominator != 1:

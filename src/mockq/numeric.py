@@ -23,7 +23,6 @@ from itertools import compress, islice
 
 from scipy import integrate, special
 
-from .cyclotomic import Cyc24
 from .errors import ConvergenceError, PoleError
 from .registry import MU_REPS, _catalog_map
 
@@ -349,30 +348,31 @@ def _gab_terms(a, b):
 # Eichler period integrals
 
 
-def _eichler_terms_from_taubar(terms, scene) -> complex:
-    """sum over terms of integral from -conj(tau) to i*infinity of
+def _eichler_terms(terms, tau, z0) -> complex:
+    """sum over terms of the integral from z0 to i*infinity of
     coef * e^(pi i lam z)/sqrt(-i (z+tau)) dz, each term in closed form:
 
-        i * coef * e^(-pi i lam x) * e^(-pi lam y) * erfcx(sqrt(2 pi lam y))
-          / sqrt(lam),
+        i * coef * e^(pi i lam z0) * erfcx(sqrt(-pi i lam (z0+tau))) / sqrt(lam)
 
-    with tau = x + i y (erfcx keeps the e^(pi lam y) * beta(2 lam y) product
-    finite for large lam)."""
-    x = scene.tau.real
-    y = scene.tau.imag
+    on the principal root, for Im(z0+tau) > 0.  erfcx(sqrt(w)) = e^w erfc(sqrt(w))
+    stays finite for large lam, where the two factors over- and underflow.
+    z0 = -conj(tau) gives the Eichler integral from -conj(tau); z0 = i*c
+    gives the tail of the one from 0 above i*c."""
+    x, y = z0.real, z0.imag
+    zt = z0 + tau
     out = 0j
     for lam, coef in terms:
         if lam <= 0 or coef == 0:
             continue
-        t = (
+        erfcx = complex(special.erfcx(cmath.sqrt(-1j * math.pi * lam * zt)))
+        out += (
             1j
             * coef
-            * cmath.exp(-1j * math.pi * lam * x)
+            * cmath.exp(1j * math.pi * lam * x)
             * math.exp(-math.pi * lam * y)
-            * float(special.erfcx(math.sqrt(2 * math.pi * lam * y)))
+            * erfcx
             / math.sqrt(lam)
         )
-        out += t
     return out
 
 
@@ -396,35 +396,26 @@ def _g012_smart(idx, z) -> complex:
     return c * _g_ab_smart(a, b, 3 * z)
 
 
+def _quad(f, hi, scene) -> complex:
+    """integral of the complex function f from 0 to hi (scipy integrates the
+    real and the imaginary part in turn)."""
+    val, _ = integrate.quad(
+        f, 0, hi, complex_func=True, epsabs=1e-13, epsrel=scene.quad_rel_tol, limit=400
+    )
+    return val
+
+
 def _eichler_terms_from_zero(terms, scene, g_eval, c) -> complex:
     """integral from 0 to i*infinity of g(z)/sqrt(-i(z+tau)) dz, split at
     z = i*c: adaptive quadrature below (with g evaluated through its modular
-    inversion near 0, where the direct series converges too slowly) and a
-    termwise incomplete-gamma reduction above,
-
-        integral from ic of coef e^(pi i lam z)/sqrt(-i(z+tau)) dz
-          = i coef e^(-pi lam c) e^(w0) Gamma(1/2, w0) / sqrt(pi lam),
-        w0 = pi lam (c - i tau),
-
-    with e^w Gamma(1/2, w) = sqrt(pi) erfcx(sqrt(w)) on the principal root,
-    since Re w0 = pi lam (c + Im tau) > 0."""
+    inversion near 0, where the direct series converges too slowly) and the
+    termwise closed form of _eichler_terms from i*c up."""
     tau = scene.tau
-    out = 0j
-    for lam, coef in terms:
-        if lam <= 0 or coef == 0:
-            continue
-        w0 = math.pi * lam * (c - 1j * tau)
-        t = _SQRT_PI * complex(special.erfcx(cmath.sqrt(w0)))
-        t = 1j * coef * math.exp(-math.pi * lam * c) / math.sqrt(math.pi * lam) * t
-        out += t
 
-    def f(t, part):
-        val = 1j * g_eval(1j * t) / cmath.sqrt(t - 1j * tau) if t > 0 else 0j
-        return val.real if part == 0 else val.imag
+    def f(t):
+        return 1j * g_eval(1j * t) / cmath.sqrt(t - 1j * tau) if t > 0 else 0j
 
-    re, _ = integrate.quad(f, 0, c, args=(0,), epsabs=1e-13, epsrel=scene.quad_rel_tol, limit=400)
-    im, _ = integrate.quad(f, 0, c, args=(1,), epsabs=1e-13, epsrel=scene.quad_rel_tol, limit=400)
-    return out + complex(re, im)
+    return _eichler_terms(terms, tau, 1j * c) + _quad(f, c, scene)
 
 
 def eichler_gab(a, b, scene) -> complex:
@@ -433,7 +424,7 @@ def eichler_gab(a, b, scene) -> complex:
     # |coef| = sqrt(lam) and erfcx <= 1, so |term| <= e^(-pi y n^2), and n = a +- m
     # has n^2 >= m^2 - 2|a|m
     M = _window(sc, math.pi * sc.tau.imag, 2 * math.pi * sc.tau.imag * abs(a))
-    return _eichler_terms_from_taubar(islice(_gab_terms(a, b), 2 * M + 1), sc)
+    return _eichler_terms(islice(_gab_terms(a, b), 2 * M + 1), sc.tau, -sc.tau.conjugate())
 
 
 def eichler_integral(idx, scene, lower="taubar") -> complex:
@@ -450,7 +441,7 @@ def eichler_integral(idx, scene, lower="taubar") -> complex:
     M = _window(sc, rate, 2 * rate * a)
     terms = islice(_g012_terms(idx), 2 * M + 1)
     if lower == "taubar":
-        return _eichler_terms_from_taubar(terms, sc)
+        return _eichler_terms(terms, sc.tau, -sc.tau.conjugate())
     return _eichler_terms_from_zero(terms, sc, lambda z: _g012_smart(idx, z), c)
 
 
@@ -483,13 +474,7 @@ def mordell_j(idx, scene) -> complex:
     def f(x):
         return cmath.exp(3j * math.pi * tau * x * x) * _mordell_ratio(idx, tau, x)
 
-    re, _ = integrate.quad(
-        lambda x: f(x).real, 0, X, epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400
-    )
-    im, _ = integrate.quad(
-        lambda x: f(x).imag, 0, X, epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400
-    )
-    return complex(re, im)
+    return _quad(f, X, sc)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +492,11 @@ def _mu_rep_num(rep, scene) -> complex:
         quot *= eta_num(sc.at(float(m) * tau)) ** r
     (u0, u1), (v0, v1) = rep.u, rep.v
     mu = mu_num(float(u0) * tau + float(u1), float(v0) * tau + float(v1), sc.at(rep.M * tau))
+    const, eta_coef, mu_coef = rep.complex_consts
     return (
-        Cyc24(rep.const).to_complex()
-        + Cyc24(rep.eta_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.eta_shift / 24) * quot
-        + Cyc24(rep.mu_coef).to_complex() * cmath.exp(_TWO_PI_I * tau * rep.mu_shift / 24) * mu
+        const
+        + eta_coef * cmath.exp(_TWO_PI_I * tau * rep.eta_shift / 24) * quot
+        + mu_coef * cmath.exp(_TWO_PI_I * tau * rep.mu_shift / 24) * mu
     )
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import Cyc24, exp_pi_i, zeta_pow
 from .dissect import (
@@ -22,13 +23,12 @@ from .errors import PrecisionError
 from .etatheta import (
     EtaQuotientSpec,
     Monomial,
+    e_product,
     eta_quotient,
-    euler_E,
     euler_E_inv,
     jtp_product,
     pochhammer_fin,
-    psi_product,
-    phi_theta,
+    theta_sum,
     vartheta_onethird,
 )
 from .lerch import LerchSpec, crank_pair, lerch_expand, mu_formal, thetaid_pair
@@ -47,7 +47,9 @@ _F = Fraction
 _MINUS_2I_OVER_SQRT3 = (Cyc24(2) - 4 * zeta_pow(4)) * Cyc24(_F(1, 3))
 _FOUR_OVER_SQRT3 = 4 * (2 * zeta_pow(2) - zeta_pow(6)).inverse()
 
-# eta quotients of the NEWOMEGA, NEWOMEGA2 and NEWF right sides, shared with MU_REPS
+# eta quotients of the NEWOMEGA, NEWOMEGA2 and NEWF right sides and of the
+# omega(-q^(1/2)) split, shared with MU_REPS
+H2_ETA = EtaQuotientSpec([(6, 2), (_F(3, 2), 2), (3, -2), (1, -1)])
 NEWOMEGA_ETA = EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)])
 NEWOMEGA2_ETA = EtaQuotientSpec([(2, 4), (6, -1), (1, -2)])
 NEWF_ETA = EtaQuotientSpec([(1, 4), (3, -1), (2, -2)])
@@ -236,12 +238,7 @@ def _b_omega_half_split(cap):
     # omega(-q^(1/2)) = E(q^6)^2 E(q^(3/2))^2 / (E(q^3)^2 E(q))
     #                   - (2 q^(-1)/E(q)) sum (-1)^n q^((3n^2+n)/2)/(1+q^(3n-3/2))
     lhs = _omega_minus_sqrt_q(cap)
-    quot = (
-        euler_E(6, cap) ** 2
-        * euler_E(_F(3, 2), cap) ** 2
-        * euler_E_inv(3, cap) ** 2
-        * euler_E_inv(1, cap)
-    ).truncate(cap)
+    quot = e_product(H2_ETA.factors, cap)
     spec = LerchSpec(A=_F(3, 2), B=_F(1, 2), c_const=-1, D=3, E=_F(-3, 2))
     tail = lerch_expand(spec, cap + 24) * euler_E_inv(1, cap + 24)
     rhs = quot - tail.shift(-24).scale(2).truncate(cap)
@@ -270,7 +267,7 @@ def _b_rln_omega(cap):
     rhs = (
         QSeries.one(cap)
         + w3.shift(48).truncate(cap)
-        + (psi_product(cap) ** 2 * euler_E_inv(6, cap)).truncate(cap)
+        + e_product([(2, 4), (1, -2), (6, -1)], cap)  # psi(q)^2/E(q^6), psi = E(q^2)^2/E(q)
     ).scale(_F(1, 2))
     return [(acc, rhs)]
 
@@ -288,7 +285,7 @@ def _b_rln_f(cap):
     f3 = _f_q3(cap)
     # varphi^2(-q) validated as (sum (-1)^n q^(n^2))^2, the classical theta at -q
     rhs = f3.scale(_F(3, 4)) + (
-        phi_theta(cap) ** 2 * euler_E_inv(3, cap)
+        theta_sum(Monomial(Cyc24(1), 0), cap) ** 2 * euler_E_inv(3, cap)
     ).scale(_F(1, 4)).truncate(cap)
     return [(acc, rhs)]
 
@@ -332,6 +329,11 @@ class MuRep:
     v: tuple  # (v0, v1)
     M: int
 
+    @cached_property
+    def complex_consts(self):
+        """(const, eta_coef, mu_coef) as Python complex numbers."""
+        return tuple(Cyc24(x).to_complex() for x in (self.const, self.eta_coef, self.mu_coef))
+
     def series(self, cap):
         etaq = eta_quotient(self.eta, cap - self.eta_shift).shift(self.eta_shift)
         mu = mu_formal(self.u, self.v, self.M, cap - self.mu_shift).shift(self.mu_shift)
@@ -357,7 +359,7 @@ MU_REPS = (
         "- 4 q^(-1/24) mu(-3t/2+1/2, -t; 3t); holds with the negated arguments "
         "only (the un-negated form differs at the completed level by R-terms)",
         lambda cap: _omega_minus_sqrt_q(cap).shift(8).scale(2).truncate(cap), True,
-        const=0, eta=EtaQuotientSpec([(6, 2), (_F(3, 2), 2), (3, -2), (1, -1)]), eta_coef=2,
+        const=0, eta=H2_ETA, eta_coef=2,
         eta_shift=0, mu_coef=-4, mu_shift=-1, u=(_F(-3, 2), _F(1, 2)), v=(-1, 0), M=3,
     ),
     MuRep(  # after tau -> 6 tau

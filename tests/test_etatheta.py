@@ -7,21 +7,30 @@ from mockq.errors import GridError
 from mockq.etatheta import (
     EtaQuotientSpec,
     Monomial,
-    delta_triangular,
+    e_product,
     eta_quotient,
     euler_E,
     euler_E_inv,
     jtp_product,
-    phi_theta,
     pochhammer_fin,
     pochhammer_inf,
-    psi_product,
     theta3,
     theta_Theta,
+    theta_sum,
     vartheta_onethird,
 )
 from mockq.qseries import QSeries
 from oracles import euler_E_product
+
+
+def delta_triangular(cap) -> QSeries:
+    """Delta(q) = sum_{n>=0} q^(n(n+1)/2)."""
+    terms = []
+    n = 0
+    while 12 * n * (n + 1) < cap:
+        terms.append((12 * n * (n + 1), 1))
+        n += 1
+    return QSeries.from_terms(terms, cap)
 
 
 def delta_P0_P1(cap):
@@ -150,8 +159,10 @@ def test_triangular_3_dissection():
 
 def test_psi_and_phi_product_forms():
     cap = 24 * 80
-    assert_eq(delta_triangular(cap), psi_product(cap), 75)
-    assert_eq(phi_theta(cap), phi_theta_product(cap), 75)
+    # psi(q) = (q^2;q^2)_inf / (q;q^2)_inf = E(q^2)^2 / E(q)
+    assert_eq(delta_triangular(cap), e_product([(2, 2), (1, -1)], cap), 75)
+    # phi(q) = sum (-1)^n q^(n^2)
+    assert_eq(theta_sum(Monomial(Cyc24(1), 0), cap), phi_theta_product(cap), 75)
 
 
 def test_vartheta_onethird_closed_form():

@@ -168,13 +168,16 @@ def test_conv_single_terms_and_empty():
 
 
 def lerch_chain(spec, cap):
-    """The original lerch_expand: one Cyc24 multiply per term of every tail."""
+    """The original lerch_expand: one Cyc24 multiply per term of every tail,
+    with its exponents in Fraction arithmetic, not spec.num_grid/den_grid."""
     base = spec._base()
     N = _n_window(spec, cap)
     terms = []
     for n in range(-N, N + 1):
-        e0 = spec.num_grid(n)
-        p = spec.den_grid(n)
+        e0 = 24 * (spec.A * n * n + spec.B * n + spec.C) + spec.rho_qpow * n
+        p = 24 * (spec.D * n + spec.E)
+        assert e0.denominator == 1 and p.denominator == 1
+        e0, p = int(e0), int(p)
         if (e0 if p >= 0 else e0 - p) >= cap:
             continue
         coef = base**n

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from mockq.cyclotomic import zeta_pow
+from mockq.cyclotomic import Cyc24, ONE, exp_pi_i, zeta_pow
 from mockq.errors import GridError, PoleError
+from mockq.etatheta import Monomial, euler_E, theta3, theta_sum, vartheta_onethird
 from mockq.lerch import LerchSpec, lerch_expand, mu_formal
 from mockq.numeric import mu_num, qseries_eval
+from mockq.qseries import QSeries
 
 # ---------------------------------------------------------------------------
 # independent numeric oracle: evaluate the bilateral sum directly in complex
@@ -83,9 +85,105 @@ def test_pole_detection():
 
 
 def test_off_grid_rejected():
-    spec = LerchSpec(A=Fraction(1, 5))
-    with pytest.raises(GridError):
-        lerch_expand(spec, 240)
+    for spec in (
+        LerchSpec(A=Fraction(1, 5)),
+        LerchSpec(A=Fraction(1, 5), c_const=0),
+        LerchSpec(A=1, C=Fraction(1, 48), c_const=0),
+    ):
+        with pytest.raises(GridError):
+            lerch_expand(spec, 240)
+
+
+# ---------------------------------------------------------------------------
+# c_const = 0: plain theta series against a brute-force bilateral sum
+
+
+def brute_theta(coef, expo, cap, n_range=80):
+    """sum of coef(n) q^expo(n) over |n| <= n_range, with expo(n) a Fraction in
+    q-units; every exponent must lie on the 1/24 grid."""
+    terms = []
+    for n in range(-n_range, n_range + 1):
+        e = 24 * expo(n)
+        assert e.denominator == 1, (n, e)
+        terms.append((int(e), coef(n)))
+    return QSeries.from_terms(terms, cap)
+
+
+def brute_spec(spec, cap):
+    def coef(n):
+        return (_sign(n) if spec.global_sign == -1 else ONE) * spec.rho_const**n
+
+    def expo(n):
+        return spec.A * n * n + spec.B * n + spec.C + Fraction(spec.rho_qpow * n, 24)
+
+    return brute_theta(coef, expo, cap)
+
+
+def _sign(n):
+    return Cyc24((-1) ** (n % 2))
+
+
+CAP = 24 * 40
+# (name, the kernel's series, its brute-force sum): each kernel theta series
+# that lerch_expand builds with c_const = 0
+THETA_CASES = [
+    (
+        "pentagonal m=%s" % m,
+        lambda m=m: euler_E(m, CAP),
+        lambda m=m: brute_theta(_sign, lambda n: Fraction(m) * n * (3 * n - 1) / 2, CAP),
+    )
+    for m in (1, Fraction(3, 2), 2, 6)
+] + [
+    (
+        "theta_sum z=zeta^%d q^(%d/24)" % (k, p),
+        lambda k=k, p=p: theta_sum(Monomial(zeta_pow(k), p), CAP),
+        lambda k=k, p=p: brute_theta(
+            lambda n: _sign(n) * zeta_pow(k) ** n, lambda n: n * n + Fraction(p * n, 24), CAP
+        ),
+    )
+    for k, p in ((0, 0), (1, 12), (12, -12), (8, 36), (5, -36))
+] + [
+    (
+        "theta3 m=%s" % m,
+        lambda m=m: theta3(CAP, m),
+        lambda m=m: brute_theta(lambda n: ONE, lambda n: Fraction(m) * n * n, CAP),
+    )
+    for m in (1, 2, Fraction(1, 2))
+] + [
+    (
+        "vartheta_onethird",
+        lambda: vartheta_onethird(CAP)[0],
+        # n = m + 1/2: e^(5 pi i n/3) q^(n^2)
+        lambda: brute_theta(
+            lambda m: exp_pi_i(Fraction(5 * (2 * m + 1), 6)),
+            lambda m: (m + Fraction(1, 2)) ** 2,
+            CAP,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,kernel,brute", THETA_CASES, ids=[c[0] for c in THETA_CASES])
+def test_theta_series_match_a_brute_bilateral_sum(name, kernel, brute):
+    got, want = kernel(), brute()
+    assert got.eq_to(want, 39) == (True, None)
+    assert got.dump() == want.dump()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LerchSpec(A=Fraction(3, 4), B=Fraction(-1, 4), c_const=0),
+        LerchSpec(A=1, B=1, C=Fraction(1, 4), rho_const=exp_pi_i(Fraction(5, 3)),
+                  global_sign=1, c_const=0),
+        LerchSpec(A=2, B=Fraction(1, 3), rho_const=zeta_pow(7), rho_qpow=-16, c_const=0),
+        # D and E are unused without a denominator
+        LerchSpec(A=1, rho_const=zeta_pow(3), c_const=0, D=2, E=Fraction(1, 48)),
+    ],
+)
+def test_lerch_expand_without_denominator_is_the_bilateral_sum(spec):
+    got = lerch_expand(spec, CAP)
+    assert got.dump() == brute_spec(spec, CAP).dump()
 
 
 def test_mu_formal_matches_numeric_mu():

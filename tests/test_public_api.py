@@ -4,6 +4,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import mockq
 
 
@@ -38,3 +40,14 @@ def test_the_numeric_engine_runs_without_mpmath():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["mockq.lerch", "mockq.etatheta"])
+def test_kernel_module_imports_first(module):
+    """etatheta builds its theta series with lerch_expand and lerch calls back
+    into etatheta: either may be the first import of a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(mockq.__file__))
+    subprocess.run(
+        [sys.executable, "-c", "import %s" % module],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
