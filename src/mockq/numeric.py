@@ -19,9 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from heapq import heappop, heappush
 from itertools import compress, islice
-
-from scipy import integrate, special
 
 from .errors import ConvergenceError, PoleError
 from .registry import MU_REPS, _catalog_map
@@ -55,6 +54,7 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI_I = 2j * math.pi
 _SQRT_PI = math.sqrt(math.pi)
+_INV_SQRT_PI = 1 / _SQRT_PI
 # zeta24^k for the basis components k of Q(zeta24), as Cyc24.to_complex forms them
 _ZETA24 = tuple(cmath.exp(2j * cmath.pi * k / 24) for k in range(8))
 
@@ -178,22 +178,61 @@ def theta_num(z, scene) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# E, beta
+# the Faddeeva function; E, beta
+
+
+def _weideman_coefficients(n):
+    """Coefficients, highest degree first, of the degree n-1 polynomial in
+    Weideman's rational approximation of the Faddeeva function
+    (J. A. C. Weideman, SIAM J. Numer. Anal. 31 (1994) 1497-1518):
+    a_k = (1/2m) sum over |j| < m of f_j cos(pi j k/m), k = 1..n, m = 2n, the
+    real 2m-point DFT of the even sequence f_j = e^(-t_j^2) (L^2 + t_j^2) at
+    t_j = L tan(pi j/2m), with L = sqrt(n/sqrt(2))."""
+    m = 2 * n
+    L = math.sqrt(n / math.sqrt(2))
+    t = [L * math.tan(math.pi * j / (2 * m)) for j in range(m)]
+    f = [math.exp(-x * x) * (L * L + x * x) for x in t]
+    return L, tuple(
+        (f[0] + 2 * sum(f[j] * math.cos(math.pi * j * k / m) for j in range(1, m))) / (2 * m)
+        for k in range(n, 0, -1)
+    )
+
+
+# N = 40 keeps the relative error near 1e-15 on the sector |arg s| <= pi/4
+# that _erfcx serves; N = 32 reaches 3e-14
+_W_L, _W_COEF = _weideman_coefficients(40)
+
+
+def _erfcx(s):
+    """erfcx(s) = e^(s^2) erfc(s) = w(i s), w the Faddeeva function, for
+    Re s >= 0, by Weideman's approximation
+    w(z) = 2 p(Z)/(L - i z)^2 + 1/(sqrt(pi) (L - i z)), Z = (L + i z)/(L - i z).
+    A float s is evaluated in real arithmetic, a complex one in complex."""
+    d = _W_L + s
+    Z = (_W_L - s) / d
+    p = 0.0
+    for a in _W_COEF:
+        p = p * Z + a
+    return (2 * p / d + _INV_SQRT_PI) / d
 
 
 def E_num(z) -> complex:
     """E(z) = 2 * integral of exp(-pi u^2) from 0 to z  ( = erf(sqrt(pi) z) )."""
     z = complex(z)
     if z.imag == 0:
-        return complex(special.erf(_SQRT_PI * z.real))
-    return complex(special.erf(_SQRT_PI * z))
+        return complex(math.erf(_SQRT_PI * z.real))
+    if z.real < 0:
+        return -E_num(-z)
+    # erf(x) = 1 - e^(-x^2) erfcx(x) for Re x >= 0
+    x = _SQRT_PI * z
+    return 1 - cmath.exp(-x * x) * _erfcx(x)
 
 
 def beta_num(x) -> float:
     """beta(x) = integral of u^(-1/2) exp(-pi u) from x to infinity, x >= 0."""
     if x < 0:
         raise ValueError("beta_num needs x >= 0")
-    return float(special.erfc(math.sqrt(math.pi * x)))
+    return math.erfc(math.sqrt(math.pi * x))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +292,7 @@ def R_num(u, scene) -> complex:
             # sgn(n) - erf(x) = sgn(n) * erfc(sgn(n) * x): no 1 - erf cancellation,
             # whose error e^(pi y n^2) would then magnify
             sg = 1.0 if n > 0 else -1.0
-            w = sg * float(special.erfc(sg * _SQRT_PI * (n + a) * s2y))
+            w = sg * math.erfc(sg * _SQRT_PI * (n + a) * s2y)
             if w == 0.0:
                 continue
             sgn = -1 if round(n - 0.5) % 2 else 1
@@ -345,77 +384,162 @@ def _gab_terms(a, b):
 
 
 # ---------------------------------------------------------------------------
+# quadrature
+
+# QUADPACK's qk15 rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the
+# 15-point Kronrod rule at 0 and +-_XGK[j], and the 7-point Gauss rule at 0 and
+# +-_XGK[1], +-_XGK[3], +-_XGK[5]
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WGK0 = 0.209482141084727828012999174891714
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG0 = 0.417959183673469387755102040816327
+_QUAD_ABS_TOL = 1e-13
+_QUAD_LIMIT = 400  # intervals
+
+
+def _qk15(f, a, b):
+    """(integral of f over [a, b] by the 15-point Kronrod rule, its error
+    estimate), the estimate as QUADPACK's qk15 forms it from the Kronrod-Gauss
+    difference, scaled by the integrand's spread about its mean and floored at
+    50 ulps of the integral of |f|."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    fl = [f(c - h * x) for x in _XGK]
+    fr = [f(c + h * x) for x in _XGK]
+    resk = _WGK0 * fc + sum(w * (l + r) for w, l, r in zip(_WGK, fl, fr))
+    resg = _WG0 * fc + sum(w * (fl[j] + fr[j]) for w, j in zip(_WG, (1, 3, 5)))
+    mean = 0.5 * resk
+    resabs = _WGK0 * abs(fc) + sum(w * (abs(l) + abs(r)) for w, l, r in zip(_WGK, fl, fr))
+    resasc = _WGK0 * abs(fc - mean) + sum(
+        w * (abs(l - mean) + abs(r - mean)) for w, l, r in zip(_WGK, fl, fr)
+    )
+    h_abs = abs(h)
+    err = abs(resk - resg) * h_abs
+    resasc *= h_abs
+    if resasc and err:
+        err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
+    return resk * h, max(50 * math.ulp(1.0) * resabs * h_abs, err)
+
+
+def _quad(f, hi, scene) -> complex:
+    """integral of the complex function f from 0 to hi, globally adaptive: the
+    interval with the largest qk15 error estimate is bisected until the
+    estimates sum to at most max(1e-13, quad_rel_tol * |integral|).  Each node
+    calls f once.  A NaN estimate never passes, and needing more than 400
+    intervals raises ConvergenceError."""
+    val, err = _qk15(f, 0.0, hi)
+    parts = [(-err, 0.0, hi, val)]
+    total, total_err = val, err
+    while not total_err <= max(_QUAD_ABS_TOL, scene.quad_rel_tol * abs(total)):
+        if len(parts) >= _QUAD_LIMIT:
+            raise ConvergenceError(
+                "quadrature over [0, %g] exceeds its budget of %d intervals "
+                "(error estimate %.3g)" % (hi, _QUAD_LIMIT, total_err)
+            )
+        neg_err, a, b, v = heappop(parts)
+        m = 0.5 * (a + b)
+        v1, e1 = _qk15(f, a, m)
+        v2, e2 = _qk15(f, m, b)
+        heappush(parts, (-e1, a, m, v1))
+        heappush(parts, (-e2, m, b, v2))
+        total += v1 + v2 - v
+        total_err += e1 + e2 + neg_err
+    return sum(p[3] for p in parts)
+
+
+# ---------------------------------------------------------------------------
 # Eichler period integrals
 
 
-def _eichler_terms(terms, tau, z0) -> complex:
+def _eichler_terms(terms, z0, k) -> complex:
     """sum over terms of the integral from z0 to i*infinity of
     coef * e^(pi i lam z)/sqrt(-i (z+tau)) dz, each term in closed form:
 
-        i * coef * e^(pi i lam z0) * erfcx(sqrt(-pi i lam (z0+tau))) / sqrt(lam)
+        i * coef * e^(pi i lam z0) * erfcx(sqrt(lam) k) / sqrt(lam)
 
-    on the principal root, for Im(z0+tau) > 0.  erfcx(sqrt(w)) = e^w erfc(sqrt(w))
-    stays finite for large lam, where the two factors over- and underflow.
-    z0 = -conj(tau) gives the Eichler integral from -conj(tau); z0 = i*c
+    with k = sqrt(-pi i (z0+tau)) on the principal root, for Im(z0+tau) > 0.
+    erfcx(sqrt(w)) = e^w erfc(sqrt(w)) stays finite for large lam, where the
+    two factors over- and underflow.  z0 = -conj(tau) gives the Eichler
+    integral from -conj(tau), where k = sqrt(2 pi Im(tau)) is real and the
+    caller passes it as a float, so erfcx runs in real arithmetic; z0 = i*c
     gives the tail of the one from 0 above i*c."""
     x, y = z0.real, z0.imag
-    zt = z0 + tau
     out = 0j
     for lam, coef in terms:
         if lam <= 0 or coef == 0:
             continue
-        erfcx = complex(special.erfcx(cmath.sqrt(-1j * math.pi * lam * zt)))
+        r = math.sqrt(lam)
         out += (
-            1j
-            * coef
-            * cmath.exp(1j * math.pi * lam * x)
-            * math.exp(-math.pi * lam * y)
-            * erfcx
-            / math.sqrt(lam)
+            coef
+            * cmath.exp(1j * (math.pi * lam * x))
+            * (math.exp(-math.pi * lam * y) * _erfcx(r * k) / r)
         )
-    return out
+    return 1j * out
 
 
-def _g_ab_smart(a, b, w) -> complex:
-    """g_{a,b}(w) for w anywhere in the upper half-plane: the direct series
-    for Im(w) large, the modular inversion g_{a,b}(w) =
-    i e^(2 pi i a b) (i/w)^(3/2) g_{b,-a}(-1/w) near the real axis."""
-    if w.imag >= 0.5:
-        return _g_ab_sum(a, b, NumericScene(w))
-    t2 = -1 / w
-    return (
-        1j
-        * cmath.exp(_TWO_PI_I * a * b)
-        * (-1j * t2) ** 1.5
-        * _g_ab_sum(b, -a, NumericScene(t2))
-    )
+def _eichler_terms_from_taubar(terms, tau) -> complex:
+    """_eichler_terms from z0 = -conj(tau), where z0 + tau = 2 i Im(tau)."""
+    return _eichler_terms(terms, -tau.conjugate(), math.sqrt(2 * math.pi * tau.imag))
 
 
-def _g012_smart(idx, z) -> complex:
-    c, a, b = _G012_HOOKS[idx]
-    return c * _g_ab_smart(a, b, 3 * z)
+def _g_ab_on_axis(a, b, sc):
+    """y -> g_{a,b}(i y) for y > 0: the series for y >= 1/2 and, below, the
+    modular inversion g_{a,b}(i y) = i e^(2 pi i a b) y^(-3/2) g_{b,-a}(i/y),
+    whose series then runs at Im = 1/y > 2.  On the axis a term is
+    coef * e^(-pi lam y).  Terms only shrink as Im grows, so each branch sums
+    the window of its smallest Im, solved once here with sc's floor and
+    max_terms."""
+
+    def terms(a, b, y_min):
+        # the window of _g_ab_sum at Im(tau) = y_min
+        M = _window(sc, math.pi * y_min, 2 * math.pi * y_min * abs(a) + 1, abs(a))
+        return [(-math.pi * lam, coef) for lam, coef in islice(_gab_terms(a, b), 2 * M + 1)]
+
+    direct = terms(a, b, 0.5)
+    inverted = terms(b, -a, 2.0)
+    pre = 1j * cmath.exp(_TWO_PI_I * a * b)
+
+    def g(y):
+        if y >= 0.5:
+            return sum(coef * math.exp(e * y) for e, coef in direct)
+        return pre * y**-1.5 * sum(coef * math.exp(e / y) for e, coef in inverted)
+
+    return g
 
 
-def _quad(f, hi, scene) -> complex:
-    """integral of the complex function f from 0 to hi (scipy integrates the
-    real and the imaginary part in turn)."""
-    val, _ = integrate.quad(
-        f, 0, hi, complex_func=True, epsabs=1e-13, epsrel=scene.quad_rel_tol, limit=400
-    )
-    return val
-
-
-def _eichler_terms_from_zero(terms, scene, g_eval, c) -> complex:
+def _eichler_terms_from_zero(terms, scene, g_axis, c) -> complex:
     """integral from 0 to i*infinity of g(z)/sqrt(-i(z+tau)) dz, split at
-    z = i*c: adaptive quadrature below (with g evaluated through its modular
-    inversion near 0, where the direct series converges too slowly) and the
-    termwise closed form of _eichler_terms from i*c up."""
+    z = i*c: adaptive quadrature of g_axis(t) = g(i t) below and the termwise
+    closed form of _eichler_terms from i*c up."""
     tau = scene.tau
 
     def f(t):
-        return 1j * g_eval(1j * t) / cmath.sqrt(t - 1j * tau) if t > 0 else 0j
+        return 1j * g_axis(t) / cmath.sqrt(t - 1j * tau)
 
-    return _eichler_terms(terms, tau, 1j * c) + _quad(f, c, scene)
+    k = cmath.sqrt(-1j * math.pi * (1j * c + tau))
+    return _eichler_terms(terms, 1j * c, k) + _quad(f, c, scene)
 
 
 def eichler_gab(a, b, scene) -> complex:
@@ -424,7 +548,7 @@ def eichler_gab(a, b, scene) -> complex:
     # |coef| = sqrt(lam) and erfcx <= 1, so |term| <= e^(-pi y n^2), and n = a +- m
     # has n^2 >= m^2 - 2|a|m
     M = _window(sc, math.pi * sc.tau.imag, 2 * math.pi * sc.tau.imag * abs(a))
-    return _eichler_terms(islice(_gab_terms(a, b), 2 * M + 1), sc.tau, -sc.tau.conjugate())
+    return _eichler_terms_from_taubar(islice(_gab_terms(a, b), 2 * M + 1), sc.tau)
 
 
 def eichler_integral(idx, scene, lower="taubar") -> complex:
@@ -436,13 +560,14 @@ def eichler_integral(idx, scene, lower="taubar") -> complex:
     c = min(1.0, sc.tau.imag)
     # as in eichler_gab, with lam = 3 n^2: |term| <= e^(-3 pi y n^2) from
     # -conj(tau), and e^(-3 pi c n^2) from 0, whose term sum starts at i*c
-    a = _G012_HOOKS[idx][1]
+    k, a, b = _G012_HOOKS[idx]
     rate = 3 * math.pi * (sc.tau.imag if lower == "taubar" else c)
     M = _window(sc, rate, 2 * rate * a)
     terms = islice(_g012_terms(idx), 2 * M + 1)
     if lower == "taubar":
-        return _eichler_terms(terms, sc.tau, -sc.tau.conjugate())
-    return _eichler_terms_from_zero(terms, sc, lambda z: _g012_smart(idx, z), c)
+        return _eichler_terms_from_taubar(terms, sc.tau)
+    g = _g_ab_on_axis(a, b, sc)
+    return _eichler_terms_from_zero(terms, sc, lambda t: k * g(3 * t), c)
 
 
 # ---------------------------------------------------------------------------

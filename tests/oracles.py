@@ -12,12 +12,20 @@ take, so a test can compare the two:
   `numeric.eichler_gab` and `numeric.eichler_integral`;
 - `mordell_j_grid`: a Mordell integral by a fixed-step Simpson rule, against
   the adaptive quadrature of `numeric.mordell_j`;
+- `mordell_j_quad` and `eichler_from_zero_quad`: a Mordell integral and the
+  whole Eichler integral from 0 by scipy's QUADPACK (`integrate.quad`),
+  against the Gauss-Kronrod routine of `numeric._quad` and, from 0, its
+  split into quadrature and erfcx tail;
 - `R_mpmath`: Zwegers' R(u; tau) summed at 60 digits straight from its
   definition, against the double-precision `numeric.R_num`;
 - `E_mpmath`: E(z) = erf(sqrt(pi) z) at 40 digits, against `numeric.E_num`;
 - `eichler_tail_terms_mpmath`: each term of the Eichler-from-0 tail through
   mpmath's incomplete gamma, against the erfcx form in
   `numeric._eichler_terms_from_zero`;
+- `eichler_taubar_terms_mpmath`: each term of an Eichler sum from -conj(tau)
+  through mpmath's erfc, against the real-arithmetic form in
+  `numeric._eichler_terms_from_taubar`;
+- `erfcx_mpmath`: e^(s^2) erfc(s) at 40 digits, against `numeric._erfcx`;
 - `qseries_eval_terms`: an exact series evaluated term by term through
   `nonzero_items` and `Cyc24.to_complex`, against `numeric.qseries_eval`,
   which reads the integer arrays directly.
@@ -48,7 +56,7 @@ from scipy import integrate
 from mockq.cyclotomic import Cyc24, ONE
 from mockq.errors import ConvergenceError, GridError, NonInvertibleError
 from mockq.etatheta import _grid_mult
-from mockq.numeric import _coerce, _mordell_ratio
+from mockq.numeric import _G012_HOOKS, _coerce, _gab_terms, _mordell_ratio
 from mockq.qseries import QSeries
 
 
@@ -128,16 +136,22 @@ def eichler_quad_from_taubar(g_of_z, scene) -> complex:
     return complex(re, im)
 
 
-def mordell_j_grid(idx, scene) -> complex:
-    """j_idx(tau) by a fixed-step Simpson rule on the interval that
-    `numeric.mordell_j` integrates over."""
-    sc = _coerce(scene)
+def _mordell_integrand(idx, sc):
+    """(f, X): the integrand of j_idx(tau) and the end of the interval [0, X]
+    that `numeric.mordell_j` integrates over."""
     tau = sc.tau
     X = math.sqrt(math.log(1 / sc.series_term_floor) / (3 * math.pi * tau.imag)) + 1.0
 
     def f(x):
         return cmath.exp(3j * math.pi * tau * x * x) * _mordell_ratio(idx, tau, x)
 
+    return f, X
+
+
+def mordell_j_grid(idx, scene) -> complex:
+    """j_idx(tau) by a fixed-step Simpson rule on the interval that
+    `numeric.mordell_j` integrates over."""
+    f, X = _mordell_integrand(idx, _coerce(scene))
     n = 16001
     h = X / (n - 1)
     vals = [f(k * h) for k in range(n)]
@@ -145,6 +159,45 @@ def mordell_j_grid(idx, scene) -> complex:
     s += 4 * sum(vals[k] for k in range(1, n, 2))
     s += 2 * sum(vals[k] for k in range(2, n - 1, 2))
     return s * h / 3
+
+
+def mordell_j_quad(idx, scene) -> complex:
+    """j_idx(tau) by scipy's adaptive quadrature on the interval that
+    `numeric.mordell_j` integrates over."""
+    sc = _coerce(scene)
+    f, X = _mordell_integrand(idx, sc)
+    val, _ = integrate.quad(
+        f, 0, X, complex_func=True, epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400
+    )
+    return val
+
+
+def g_ab_anywhere(a, b, w) -> complex:
+    """g_{a,b}(w) for Im(w) > 0: g_eval of its series where Im(w) >= 1/2 and,
+    below, of the series of the modular inversion
+    g_{a,b}(w) = i e^(2 pi i a b) (i/w)^(3/2) g_{b,-a}(-1/w)."""
+    if w.imag >= 0.5:
+        return g_eval(_gab_terms(a, b), w)
+    return (
+        1j
+        * cmath.exp(2j * math.pi * a * b)
+        * (1j / w) ** 1.5
+        * g_eval(_gab_terms(b, -a), -1 / w)
+    )
+
+
+def eichler_from_zero_quad(idx, scene) -> complex:
+    """integral from 0 to i*infinity of g_idx(z)/sqrt(-i(z+tau)) dz, with
+    g_idx(z) = k g_{a,b}(3z) from `numeric._G012_HOOKS`, by scipy's adaptive
+    quadrature over z = i t, t in [0, 1] and [1, infinity)."""
+    sc = _coerce(scene)
+    k, a, b = _G012_HOOKS[idx]
+
+    def f(t):
+        return 1j * k * g_ab_anywhere(a, b, 3j * t) / cmath.sqrt(t - 1j * sc.tau)
+
+    opts = dict(complex_func=True, epsabs=1e-15, epsrel=sc.quad_rel_tol, limit=400)
+    return integrate.quad(f, 0, 1, **opts)[0] + integrate.quad(f, 1, math.inf, **opts)[0]
 
 
 def R_mpmath(u, tau, dps=60) -> complex:
@@ -197,6 +250,32 @@ def eichler_tail_terms_mpmath(terms, tau, c, dps=40):
             t *= 1j * mpmath.mpmathify(coef) * mpmath.exp(-mpmath.pi * lam * c)
             out.append(complex(t / mpmath.sqrt(mpmath.pi * lam)))
     return out
+
+
+def eichler_taubar_terms_mpmath(terms, tau, dps=40):
+    """The terms i coef e^(-pi i lam x) e^(pi lam y) erfc(sqrt(2 pi lam y)) / sqrt(lam),
+    tau = x + i y, of an Eichler sum from -conj(tau), each at dps digits;
+    terms with lam <= 0 or coef == 0 give 0."""
+    out = []
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(tau.real)
+        y = mpmath.mpf(tau.imag)
+        for lam, coef in terms:
+            if lam <= 0 or coef == 0:
+                out.append(0j)
+                continue
+            lam = mpmath.mpf(lam)
+            t = mpmath.exp(mpmath.pi * lam * y) * mpmath.erfc(mpmath.sqrt(2 * mpmath.pi * lam * y))
+            t *= 1j * mpmath.mpmathify(coef) * mpmath.expjpi(-lam * x)
+            out.append(complex(t / mpmath.sqrt(lam)))
+    return out
+
+
+def erfcx_mpmath(s, dps=40) -> complex:
+    """erfcx(s) = e^(s^2) erfc(s) at dps digits."""
+    with mpmath.workdps(dps):
+        s = mpmath.mpmathify(s)
+        return complex(mpmath.exp(s * s) * mpmath.erfc(s))
 
 
 def qseries_eval_terms(series, tau) -> complex:

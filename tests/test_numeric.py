@@ -34,21 +34,29 @@ from mockq.numeric import (
     run_check,
     theta_num,
     _G012_HOOKS,
+    _eichler_terms_from_taubar,
     _eichler_terms_from_zero,
+    _erfcx,
     _g012_terms,
-    _g_ab_smart,
+    _g_ab_on_axis,
     _gab_terms,
+    _qk15,
+    _quad,
     _window,
 )
 from mockq.qseries import QSeries
 from oracles import (
     E_mpmath,
     R_mpmath,
+    eichler_from_zero_quad,
     eichler_quad_from_taubar,
     eichler_tail_terms_mpmath,
+    eichler_taubar_terms_mpmath,
+    erfcx_mpmath,
     g012_num,
     g_eval,
     mordell_j_grid,
+    mordell_j_quad,
     qseries_eval_terms,
 )
 
@@ -92,6 +100,27 @@ def test_E_and_beta_special_values():
 def test_E_matches_a_40_digit_erf(re, im):
     want = E_mpmath(complex(re, im))
     assert abs(E_num(complex(re, im)) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_r=st.floats(min_value=-2, max_value=2),
+    theta=st.floats(min_value=-math.pi / 4, max_value=math.pi / 4),
+)
+@example(log_r=-2.0, theta=0.0)
+@example(log_r=2.0, theta=math.pi / 4)
+@example(log_r=2.0, theta=-math.pi / 4)
+def test_erfcx_matches_a_40_digit_erfc(log_r, theta):
+    """_erfcx(s) = w(i s), w the Faddeeva function, on the sector |arg s| <= pi/4
+    with |s| in [0.01, 100], where the Eichler sums call it: in complex
+    arithmetic, and in real arithmetic at the real s = |s|."""
+    r = 10.0**log_r
+    s = cmath.rect(r, theta)
+    want = erfcx_mpmath(s)
+    assert abs(_erfcx(s) - want) <= 1e-14 * abs(want), s
+    want = erfcx_mpmath(r).real
+    got = _erfcx(r)
+    assert isinstance(got, float) and abs(got - want) <= 1e-14 * want, r
 
 
 def test_eta_against_high_precision_product():
@@ -227,13 +256,22 @@ def test_windows_hold_at_a_lower_floor(re, im):
             assert abs(v - d) <= 1e-15 * max(1.0, abs(v)), (name, sc.tau)
 
 
+def test_from_zero_integrand_respects_the_scene_term_budget():
+    # at tau = 0.25+i the tail window holds 5 summands and the integrand's
+    # window for g_{1/3,0} at Im = 1/2 holds 11
+    sc = NumericScene(0.25 + 1j, max_terms=8)
+    with pytest.raises(ConvergenceError):
+        eichler_integral(2, sc, lower="zero")
+    assert eichler_integral(2, NumericScene(sc.tau, max_terms=11), lower="zero")
+
+
 def test_g_eval_raises_when_the_term_budget_runs_out():
     # near the real axis 4000 terms do not reach the floor: no truncated sum
     with pytest.raises(ConvergenceError):
         g_eval(_gab_terms(1 / 3, 0.0), 1e-7j)
     # within the budget the direct sum agrees with the modular inversion
     value = g_eval(_gab_terms(1 / 3, 0.0), 1e-3j)
-    assert abs(value - _g_ab_smart(1 / 3, 0.0, 1e-3j)) < 1e-12
+    assert abs(value - _g_ab_on_axis(1 / 3, 0.0, SC)(1e-3)) < 1e-12
 
 
 def test_mordell_quad_vs_grid():
@@ -246,6 +284,56 @@ def test_mordell_quad_vs_grid():
 def test_mordell_j3_real_at_imaginary_tau():
     val = mordell_j(3, NumericScene(1j))
     assert abs(val.imag) < 1e-10
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 13, 14, 21, 22])
+def test_qk15_integrates_polynomials_exactly(degree):
+    """The 15-point Kronrod rule is exact to degree 22: a polynomial with
+    complex coefficients against its exact integral in Fraction arithmetic,
+    relative to the integral of the sum of the terms' moduli."""
+    rng = random.Random(degree)
+    coefs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(degree + 1)]
+    a, b = 0.25, 1.5
+    exact = [Fraction(0), Fraction(0)]
+    scale = 0.0
+    for k, c in enumerate(coefs):
+        span = (Fraction(b) ** (k + 1) - Fraction(a) ** (k + 1)) / (k + 1)
+        exact[0] += Fraction(c.real) * span
+        exact[1] += Fraction(c.imag) * span
+        scale += abs(c) * float(span)
+    got, _ = _qk15(lambda t: sum(c * t**k for k, c in enumerate(coefs)), a, b)
+    assert abs(got - complex(float(exact[0]), float(exact[1]))) <= 1e-15 * scale
+
+
+def test_quad_raises_past_its_interval_budget():
+    # 1e5 periods on [0, 1]: no interval converges before 400 of them exist
+    with pytest.raises(ConvergenceError, match="400 intervals"):
+        _quad(lambda t: cmath.exp(2e5j * math.pi * t), 1.0, SC)
+
+
+# Im(tau) down to 0.08; at the last scene the parent's scipy quadrature of the
+# from-0 Eichler integral missed a 30-digit mpmath value by 3.6e-15 relative
+_rng7 = random.Random(7)
+QUAD_TAUS = (
+    [s.tau for s in SCENES]
+    + [complex(_rng7.uniform(-0.5, 0.5), _rng7.uniform(0.08, 2.0)) for _ in range(10)]
+    + [0.29665096795997037 + 0.1925623668762264j]
+)
+
+
+@pytest.mark.parametrize("tau", QUAD_TAUS, ids=repr)
+def test_quadratures_match_scipy(tau):
+    """The Mordell integrals and the whole Eichler integral from 0 against
+    scipy's QUADPACK, which integrates the from-0 integrand up to infinity
+    with no erfcx tail."""
+    sc = NumericScene(tau)
+    for idx in (1, 2, 3):
+        want = mordell_j_quad(idx, sc)
+        assert abs(mordell_j(idx, sc) - want) <= 2e-15 * abs(want), ("j", idx)
+    for idx in (0, 1, 2):
+        want = eichler_from_zero_quad(idx, sc)
+        got = eichler_integral(idx, sc, lower="zero")
+        assert abs(got - want) <= 2e-15 * abs(want), ("from 0", idx)
 
 
 def test_qseries_eval_geometric():
@@ -318,6 +406,37 @@ def test_eichler_tail_terms_match_incomplete_gamma(idx, re, im):
     for term, want in zip(terms, eichler_tail_terms_mpmath(terms, sc.tau, c)):
         got = _eichler_terms_from_zero([term], sc, lambda z: 0j, c)
         assert abs(got - want) <= 1e-14 * abs(want), (term, got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    re=st.floats(min_value=-0.5, max_value=0.5),
+    im=st.floats(min_value=0.2, max_value=2.0),
+)
+@example(re=0.0, im=0.2)
+@example(re=0.0, im=2.0)
+@example(re=0.5, im=0.2)
+def test_eichler_taubar_terms_match_a_40_digit_erfc(re, im):
+    """Every term of the from -conj(tau) windows of gabints, rext and G, summed
+    alone, against mpmath's erfc.  Beyond 1e-14, a term may carry the rounding
+    of its exponents pi lam Re(tau) and pi lam Im(tau) in double (about 1.2 ulp
+    of each), which the real erfcx path does not touch."""
+    tau = complex(re, im)
+    sc = NumericScene(tau)
+    windows = []
+    for a, b in ((1 / 3, 0.0), (0.0, 2 / 3)):
+        M = _window(sc, math.pi * im, 2 * math.pi * im * abs(a))
+        windows.append(islice(_gab_terms(a, b), 2 * M + 1))
+    for idx in range(3):
+        rate = 3 * math.pi * im
+        M = _window(sc, rate, 2 * rate * _G012_HOOKS[idx][1])
+        windows.append(islice(_g012_terms(idx), 2 * M + 1))
+    for terms in map(list, windows):
+        for term, want in zip(terms, eichler_taubar_terms_mpmath(terms, tau)):
+            got = _eichler_terms_from_taubar([term], tau)
+            exponents = math.pi * term[0] * (abs(re) + im)
+            tol = 1e-14 + 2 * math.ulp(1.0) * exponents
+            assert abs(got - want) <= tol * abs(want), (term, got, want)
 
 
 def test_run_check_unknown_name():

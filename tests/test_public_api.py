@@ -25,21 +25,21 @@ def test_every_exported_name_resolves():
 
 
 def test_the_numeric_engine_runs_without_mpmath():
-    """mpmath is a test oracle only: importing mockq and running the checks
-    that use the Eichler-from-0 tail, the exact series and F's mu-representation
-    rows must not load it."""
+    """mpmath, scipy and numpy are test oracles only: importing mockq and
+    running every numeric check must load none of them."""
     src = os.path.dirname(os.path.dirname(mockq.__file__))
     code = (
         "import sys, mockq\n"
-        "for name in ('lemma33', 'consistency-newf', 'watson-lemma'):\n"
+        "from mockq.numeric import CHECK_NAMES\n"
+        "for name in CHECK_NAMES:\n"
         "    assert mockq.run_check(name, mockq.NumericScene(1j)).passed, name\n"
-        "print('mpmath' in sys.modules)\n"
+        "print(sorted(m for m in ('mpmath', 'scipy', 'numpy') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", ["mockq.lerch", "mockq.etatheta"])
