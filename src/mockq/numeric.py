@@ -7,6 +7,7 @@ vector-valued triples F, G, H, plus a named battery of transformation checks.
 F is read from the Lerch-sum rows F_MU_REP and H2_MU_REP of registry.MU_REPS,
 and g0, g1, g2 from their g_{a,b} hooks, so each quantity has one coding.
 Exact series are evaluated only by the consistency checks (qseries_eval).
+mordell_j and eichler_integral return triples, each from one quadrature.
 
 Conventions: q = exp(2*pi*i*tau), principal square roots throughout
 (Re(-i*tau) = Im(tau) > 0 keeps sqrt(-i*tau) well-defined on the upper
@@ -18,9 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heappop, heappush
-from itertools import compress, islice
+from itertools import compress, islice, repeat
+from operator import itemgetter, mul, sub, truediv
 
 from .errors import ConvergenceError, PoleError
 from .registry import MU_REPS, _catalog_map
@@ -97,24 +99,28 @@ def _coerce(scene) -> NumericScene:
 # series evaluation bridge
 
 
-def qseries_eval(series, tau) -> complex:
-    """Evaluate an exact QSeries at q = exp(2*pi*i*tau).
-
-    Each component's integer numerators are read in place: the nonzero slots
-    are picked out in C and each becomes one float v/d (correctly rounded,
-    like float(Fraction(v, d))) times zeta24^k.  Components are summed in
-    ascending k and exponents in ascending order, as Cyc24.to_complex and
-    nonzero_items do, so the value is that of the per-term evaluation."""
-    tau = complex(tau)
+@lru_cache(maxsize=32)  # keyed on identity: a QSeries is never mutated
+def _float_terms(series):
+    """((e, c), ...): the nonzero terms c q^(e/24) of an exact QSeries in
+    floats, exponents ascending.  Each component's integer numerators are
+    read in place: the nonzero slots are picked out in C and each becomes one
+    float v/d (correctly rounded, like float(Fraction(v, d))) times zeta24^k,
+    summed in ascending k, as Cyc24.to_complex and nonzero_items do."""
     coeffs = {}
     for k, (d, nums) in sorted(series.comps.items()):
         z = _ZETA24[k]
         for i in compress(range(len(nums)), nums):
             coeffs.setdefault(i, []).append(nums[i] / d * z)
+    return tuple((series.low + i, sum(coeffs[i]) + 0j) for i in sorted(coeffs))
+
+
+def qseries_eval(series, tau) -> complex:
+    """An exact QSeries at q = exp(2*pi*i*tau), to the bit the per-term
+    evaluation's value."""
+    tau = complex(tau)
     out = 0j
-    for i in sorted(coeffs):
-        e = series.low + i
-        out += (sum(coeffs[i]) + 0j) * cmath.exp(_TWO_PI_I * tau * e / 24)
+    for e, c in _float_terms(series):
+        out += c * cmath.exp(_TWO_PI_I * tau * e / 24)
     return out
 
 
@@ -414,59 +420,69 @@ _WG = (
     0.381830050505118944950369775488975,
 )
 _WG0 = 0.417959183673469387755102040816327
+# _qk15's nodes c + h u, their Kronrod weights, and the Gauss nodes and weights
+_U15 = (0.0,) + tuple(-x for x in _XGK) + _XGK
+_W15 = (_WGK0,) + _WGK + _WGK
+_GAUSS = itemgetter(0, 2, 4, 6, 9, 11, 13)
+_W7 = (_WG0,) + _WG + _WG
+_ULP50 = 50 * math.ulp(1.0)
 _QUAD_ABS_TOL = 1e-13
 _QUAD_LIMIT = 400  # intervals
 
 
 def _qk15(f, a, b):
-    """(integral of f over [a, b] by the 15-point Kronrod rule, its error
-    estimate), the estimate as QUADPACK's qk15 forms it from the Kronrod-Gauss
-    difference, scaled by the integrand's spread about its mean and floored at
-    50 ulps of the integral of |f|."""
+    """([integral over [a, b] of each component of the tuple-valued f by the
+    15-point Kronrod rule], [its error estimate]), the estimate as QUADPACK's
+    qk15 forms it from the Kronrod-Gauss difference, scaled by the spread
+    about the mean and floored at 50 ulps of the integral of the modulus."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(c)
-    fl = [f(c - h * x) for x in _XGK]
-    fr = [f(c + h * x) for x in _XGK]
-    resk = _WGK0 * fc + sum(w * (l + r) for w, l, r in zip(_WGK, fl, fr))
-    resg = _WG0 * fc + sum(w * (fl[j] + fr[j]) for w, j in zip(_WG, (1, 3, 5)))
-    mean = 0.5 * resk
-    resabs = _WGK0 * abs(fc) + sum(w * (abs(l) + abs(r)) for w, l, r in zip(_WGK, fl, fr))
-    resasc = _WGK0 * abs(fc - mean) + sum(
-        w * (abs(l - mean) + abs(r - mean)) for w, l, r in zip(_WGK, fl, fr)
-    )
     h_abs = abs(h)
-    err = abs(resk - resg) * h_abs
-    resasc *= h_abs
-    if resasc and err:
-        err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
-    return resk * h, max(50 * math.ulp(1.0) * resabs * h_abs, err)
+    vals, errs = [], []
+    for col in zip(*[f(c + h * u) for u in _U15]):
+        resk = sum(map(mul, _W15, col))
+        resg = sum(map(mul, _W7, _GAUSS(col)))
+        resabs = sum(map(mul, _W15, map(abs, col)))
+        resasc = sum(map(mul, _W15, map(abs, map(sub, col, repeat(0.5 * resk))))) * h_abs
+        err = abs(resk - resg) * h_abs
+        if resasc and err:
+            err = resasc * min(1.0, (200 * err / resasc) ** 1.5)
+        vals.append(resk * h)
+        errs.append(max(_ULP50 * resabs * h_abs, err))
+    return vals, errs
 
 
-def _quad(f, hi, scene) -> complex:
-    """integral of the complex function f from 0 to hi, globally adaptive: the
-    interval with the largest qk15 error estimate is bisected until the
-    estimates sum to at most max(1e-13, quad_rel_tol * |integral|).  Each node
-    calls f once.  A NaN estimate never passes, and needing more than 400
-    intervals raises ConvergenceError."""
-    val, err = _qk15(f, 0.0, hi)
-    parts = [(-err, 0.0, hi, val)]
-    total, total_err = val, err
-    while not total_err <= max(_QUAD_ABS_TOL, scene.quad_rel_tol * abs(total)):
+def _quad(f, hi, scene) -> tuple:
+    """(integral from 0 to hi of each component of the tuple-valued f), on one
+    globally adaptive mesh, until each component's summed qk15 estimate is at
+    most its tolerance max(1e-13, quad_rel_tol * |its integral|).  It bisects
+    the interval with the largest estimate relative to its component's
+    tolerance (when it was made), so a small component is not starved by
+    the 50-ulp floors of a large one.  A NaN estimate never passes; needing
+    more than 400 intervals raises ConvergenceError."""
+    vals, errs = _qk15(f, 0.0, hi)
+    parts = [(0.0, 0.0, hi, vals, errs)]
+    totals, total_errs = vals, errs
+    rtol = scene.quad_rel_tol
+    while True:
+        tols = [max(_QUAD_ABS_TOL, rtol * abs(t)) for t in totals]
+        if all(e <= tol for e, tol in zip(total_errs, tols)):
+            break
         if len(parts) >= _QUAD_LIMIT:
             raise ConvergenceError(
                 "quadrature over [0, %g] exceeds its budget of %d intervals "
-                "(error estimate %.3g)" % (hi, _QUAD_LIMIT, total_err)
+                "(error estimates %s)"
+                % (hi, _QUAD_LIMIT, ", ".join("%.3g" % e for e in total_errs))
             )
-        neg_err, a, b, v = heappop(parts)
+        _, a, b, v, e = heappop(parts)
         m = 0.5 * (a + b)
         v1, e1 = _qk15(f, a, m)
         v2, e2 = _qk15(f, m, b)
-        heappush(parts, (-e1, a, m, v1))
-        heappush(parts, (-e2, m, b, v2))
-        total += v1 + v2 - v
-        total_err += e1 + e2 + neg_err
-    return sum(p[3] for p in parts)
+        heappush(parts, (-max(map(truediv, e1, tols)), a, m, v1, e1))
+        heappush(parts, (-max(map(truediv, e2, tols)), m, b, v2, e2))
+        totals = [t + x + y - z for t, x, y, z in zip(totals, v1, v2, v)]
+        total_errs = [t + x + y - z for t, x, y, z in zip(total_errs, e1, e2, e)]
+    return tuple(sum(col) for col in zip(*(p[3] for p in parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,42 +520,75 @@ def _eichler_terms_from_taubar(terms, tau) -> complex:
     return _eichler_terms(terms, -tau.conjugate(), math.sqrt(2 * math.pi * tau.imag))
 
 
-def _g_ab_on_axis(a, b, sc):
-    """y -> g_{a,b}(i y) for y > 0: the series for y >= 1/2 and, below, the
-    modular inversion g_{a,b}(i y) = i e^(2 pi i a b) y^(-3/2) g_{b,-a}(i/y),
-    whose series then runs at Im = 1/y > 2.  On the axis a term is
-    coef * e^(-pi lam y).  Terms only shrink as Im grows, so each branch sums
-    the window of its smallest Im, solved once here with sc's floor and
-    max_terms."""
+def _g012_on_axis(sc):
+    """t -> (g0(i t), g1(i t), g2(i t)) for t > 0, g_idx(z) = k g_{a,b}(3z) by
+    _G012_HOOKS: the g_{a,b} series where 3t >= 1/2 and, below, the modular
+    inversion g_{a,b}(i y) = i e^(2 pi i a b) y^(-3/2) g_{b,-a}(i/y).
 
-    def terms(a, b, y_min):
-        # the window of _g_ab_sum at Im(tau) = y_min
-        M = _window(sc, math.pi * y_min, 2 * math.pi * y_min * abs(a) + 1, abs(a))
-        return [(-math.pi * lam, coef) for lam, coef in islice(_gab_terms(a, b), 2 * M + 1)]
+    On each branch a term is coef e^(-pi lam Y), Y = 3t or 1/(3t), and the
+    three series' windows at the branch's smallest Im (solved once here)
+    merge by lam into rows of three coefficients.  |coef| = sqrt(lam) and a
+    series has at most two terms at one lam, so a row is bounded by
+    2 sqrt(lam) e^(-pi lam Y), which falls with lam past lam = 1/(2 pi Y): a
+    node stops at the first row past that peak whose bound is below the
+    floor."""
+    log_floor = math.log(sc.series_term_floor)
 
-    direct = terms(a, b, 0.5)
-    inverted = terms(b, -a, 2.0)
-    pre = 1j * cmath.exp(_TWO_PI_I * a * b)
+    def rows(y_min, scale, invert):
+        merged = {}
+        for idx, (k, a, b) in enumerate(_G012_HOOKS):
+            if invert:
+                k, a, b = k * 1j * cmath.exp(_TWO_PI_I * a * b), b, -a
+            # the window of _g_ab_sum at Im(tau) = y_min
+            M = _window(sc, math.pi * y_min, 2 * math.pi * y_min * abs(a) + 1, abs(a))
+            for lam, coef in islice(_gab_terms(a, b), 2 * M + 1):
+                merged.setdefault(lam, [0j, 0j, 0j])[idx] += k * coef
+        out = []
+        for lam in sorted(merged):
+            # a row is coefs * e^(e s), s = t or 1/t: past its peak once
+            # s > -1/(2e), below the floor once e s < log(floor/(2 sqrt(lam)))
+            e = -math.pi * lam * scale
+            s_cut = max((log_floor - math.log(2 * math.sqrt(lam))) / e, -0.5 / e)
+            out.append((e, s_cut, *merged[lam]))
+        return out
 
-    def g(y):
-        if y >= 0.5:
-            return sum(coef * math.exp(e * y) for e, coef in direct)
-        return pre * y**-1.5 * sum(coef * math.exp(e / y) for e, coef in inverted)
+    direct = rows(0.5, 3.0, False)
+    inverted = rows(2.0, 1 / 3, True)
+
+    def g(t):
+        if t >= 1 / 6:
+            terms, s, pre = direct, t, 1.0
+        else:
+            terms, s, pre = inverted, 1 / t, (3 * t) ** -1.5
+        g0 = g1 = g2 = 0j
+        for e, s_cut, c0, c1, c2 in terms:
+            if s > s_cut:
+                break
+            x = math.exp(e * s)
+            g0 += c0 * x
+            g1 += c1 * x
+            g2 += c2 * x
+        return pre * g0, pre * g1, pre * g2
 
     return g
 
 
-def _eichler_terms_from_zero(terms, scene, g_axis, c) -> complex:
-    """integral from 0 to i*infinity of g(z)/sqrt(-i(z+tau)) dz, split at
-    z = i*c: adaptive quadrature of g_axis(t) = g(i t) below and the termwise
-    closed form of _eichler_terms from i*c up."""
+def _eichler_terms_from_zero(windows, scene, g_axis, c) -> tuple:
+    """(integral from 0 to i*infinity of g(z)/sqrt(-i(z+tau)) dz) for each g
+    of a tuple, split at z = i*c: one quadrature of g_axis(t) = (g(i t), ...)
+    below and the termwise closed form of _eichler_terms over each g's
+    window from i*c up."""
     tau = scene.tau
 
     def f(t):
-        return 1j * g_axis(t) / cmath.sqrt(t - 1j * tau)
+        r = 1j / cmath.sqrt(t - 1j * tau)
+        return [r * x for x in g_axis(t)]
 
     k = cmath.sqrt(-1j * math.pi * (1j * c + tau))
-    return _eichler_terms(terms, 1j * c, k) + _quad(f, c, scene)
+    return tuple(
+        _eichler_terms(terms, 1j * c, k) + q
+        for terms, q in zip(windows, _quad(f, c, scene))
+    )
 
 
 def eichler_gab(a, b, scene) -> complex:
@@ -551,53 +600,50 @@ def eichler_gab(a, b, scene) -> complex:
     return _eichler_terms_from_taubar(islice(_gab_terms(a, b), 2 * M + 1), sc.tau)
 
 
-def eichler_integral(idx, scene, lower="taubar") -> complex:
-    """integral of g_idx(z)/sqrt(-i(z+tau)) dz along the vertical path from
-    -conj(tau) (lower="taubar") or from 0 (lower="zero") to i*infinity."""
+def eichler_integral(scene, lower="taubar") -> tuple:
+    """(I0, I1, I2), I_idx the integral of g_idx(z)/sqrt(-i(z+tau)) dz along
+    the vertical path from -conj(tau) (lower="taubar") or from 0
+    (lower="zero") to i*infinity."""
     sc = _coerce(scene)
     if lower not in ("taubar", "zero"):
         raise ValueError("lower must be 'taubar' or 'zero'")
     c = min(1.0, sc.tau.imag)
     # as in eichler_gab, with lam = 3 n^2: |term| <= e^(-3 pi y n^2) from
     # -conj(tau), and e^(-3 pi c n^2) from 0, whose term sum starts at i*c
-    k, a, b = _G012_HOOKS[idx]
     rate = 3 * math.pi * (sc.tau.imag if lower == "taubar" else c)
-    M = _window(sc, rate, 2 * rate * a)
-    terms = islice(_g012_terms(idx), 2 * M + 1)
+    windows = []
+    for idx, (_, a, _) in enumerate(_G012_HOOKS):
+        M = _window(sc, rate, 2 * rate * a)
+        windows.append(islice(_g012_terms(idx), 2 * M + 1))
     if lower == "taubar":
-        return _eichler_terms_from_taubar(terms, sc.tau)
-    g = _g_ab_on_axis(a, b, sc)
-    return _eichler_terms_from_zero(terms, sc, lambda t: k * g(3 * t), c)
+        return tuple(_eichler_terms_from_taubar(terms, sc.tau) for terms in windows)
+    return _eichler_terms_from_zero(windows, sc, _g012_on_axis(sc), c)
 
 
 # ---------------------------------------------------------------------------
 # Mordell integrals
 
 
-def _mordell_ratio(idx, tau, x):
-    if x == 0:
-        return (2.0 / 3, 1.0, 1.0 / 3)[idx - 1]
-    w = math.pi * tau * x
-    if idx == 1:
-        return cmath.sin(2 * w) / cmath.sin(3 * w)
-    if idx == 2:
-        return cmath.cos(w) / cmath.cos(3 * w)
-    if idx == 3:
-        return cmath.sin(w) / cmath.sin(3 * w)
-    raise ValueError("idx must be 1, 2 or 3")
-
-
-def mordell_j(idx, scene) -> complex:
-    """j_idx(tau) = integral from 0 to infinity of
-    e^(3 pi i tau x^2) * (sin/cos ratio) dx, truncated where the Gaussian
-    envelope e^(-3 pi Im(tau) x^2) falls below the term floor."""
+def mordell_j(scene) -> tuple:
+    """(j1, j2, j3), j_idx(tau) the integral from 0 to infinity of
+    e^(3 pi i tau x^2) times sin 2w/sin 3w, cos w/cos 3w or sin w/sin 3w,
+    w = pi tau x, truncated where the Gaussian envelope e^(-3 pi Im(tau) x^2)
+    falls below the term floor."""
     sc = _coerce(scene)
     tau = sc.tau
     y = tau.imag
     X = math.sqrt(math.log(1 / sc.series_term_floor) / (3 * math.pi * y)) + 1.0
+    a = 3j * math.pi * tau
+    b = math.pi * tau
 
     def f(x):
-        return cmath.exp(3j * math.pi * tau * x * x) * _mordell_ratio(idx, tau, x)
+        # qk15 never evaluates an endpoint, so x > 0 and sin 3w != 0
+        e = cmath.exp(a * x * x)
+        w = b * x
+        s1 = cmath.sin(w)
+        c1 = cmath.cos(w)
+        es3 = e / cmath.sin(3 * w)
+        return 2 * s1 * c1 * es3, e * c1 / cmath.cos(3 * w), s1 * es3
 
     return _quad(f, X, sc)
 
@@ -641,13 +687,9 @@ def F_num(scene):
 def G_num(scene):
     """G = 2 i sqrt(3) * integral from -conj(tau) to i*infinity of
     (g1, g0, -g2)^T / sqrt(-i (z+tau)) dz."""
-    sc = _coerce(scene)
     c = 2j * _SQRT3
-    return (
-        c * eichler_integral(1, sc),
-        c * eichler_integral(0, sc),
-        -c * eichler_integral(2, sc),
-    )
+    i0, i1, i2 = eichler_integral(scene)
+    return c * i1, c * i0, -c * i2
 
 
 def H_num(scene):
@@ -660,9 +702,8 @@ def R_vec_theta(scene):
     """Watson remainder via theta integrals:
     R(tau) = -2 i sqrt(3) * integral from 0 to i*infinity of
     (g0, g1, g2)^T / sqrt(-i (z+tau)) dz."""
-    sc = _coerce(scene)
     c = -2j * _SQRT3
-    return tuple(c * eichler_integral(i, sc, lower="zero") for i in range(3))
+    return tuple(c * x for x in eichler_integral(scene, lower="zero"))
 
 
 def R_vec_mordell(scene):
@@ -670,7 +711,8 @@ def R_vec_mordell(scene):
     R(tau) = 4 sqrt(3) sqrt(-i tau) * (j2, -j1, j3)."""
     sc = _coerce(scene)
     pre = 4 * _SQRT3 * cmath.sqrt(-1j * sc.tau)
-    return (pre * mordell_j(2, sc), -pre * mordell_j(1, sc), pre * mordell_j(3, sc))
+    j1, j2, j3 = mordell_j(sc)
+    return pre * j2, -pre * j1, pre * j3
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +732,22 @@ def _mat_S(vec):
 
 
 _U0 = 0.3 + 0.2j
-_V0 = 0.05 + 0.3j
 _AB = (0.3, 0.45)
+# mu-tilde probes, first choice first (mutwid-b takes u from _U_PROBES[1:]);
+# mu has its poles where u or v lies in Z + tau Z
+_U_PROBES = (_U0, 0.2 + 0.1j, 0.27 + 0.31j, 0.41 + 0.13j)
+_V_PROBES = (0.05 + 0.3j, 0.11 + 0.23j, 0.07 + 0.37j)
+_LATTICE_GAP = 1e-6
+
+
+def _off_lattice(points, tau):
+    """The first of points at least 1e-6 from Z + tau Z, whose nearest point
+    to p lies on the row n = round(Im p/Im tau)."""
+    for p in points:
+        r = p - round(p.imag / tau.imag) * tau
+        if abs(r - round(r.real)) >= _LATTICE_GAP:
+            return p
+    raise PoleError("every probe point lies within %g of Z + tau Z" % _LATTICE_GAP)
 
 
 @dataclass
@@ -740,25 +796,25 @@ def _check_rellprops_c(sc):
 
 def _check_mutwid_a(sc):
     tau = sc.tau
-    base = mu_tilde_num(_U0, _V0, sc)
-    res = abs(mu_tilde_num(_U0 + 1, _V0, sc) + base)  # k=0,l=1: factor -1
-    fac = -cmath.exp(1j * math.pi * tau + _TWO_PI_I * (_U0 - _V0))
-    return max(res, abs(mu_tilde_num(_U0 + tau, _V0, sc) - fac * base))
+    u, v = _off_lattice(_U_PROBES, tau), _off_lattice(_V_PROBES, tau)
+    base = mu_tilde_num(u, v, sc)
+    res = abs(mu_tilde_num(u + 1, v, sc) + base)  # k=0,l=1: factor -1
+    fac = -cmath.exp(1j * math.pi * tau + _TWO_PI_I * (u - v))
+    return max(res, abs(mu_tilde_num(u + tau, v, sc) - fac * base))
 
 
 def _check_mutwid_b(sc):
     s = ((0, -1), (1, 0))
     t = ((1, 1), (0, 1))
-    return max(
-        mu_tilde_modular_check(s, 0.2 + 0.1j, _V0, sc),
-        mu_tilde_modular_check(t, 0.2 + 0.1j, _V0, sc),
-    )
+    u, v = _off_lattice(_U_PROBES[1:], sc.tau), _off_lattice(_V_PROBES, sc.tau)
+    return max(mu_tilde_modular_check(s, u, v, sc), mu_tilde_modular_check(t, u, v, sc))
 
 
 def _check_mutwid_c(sc):
-    base = mu_tilde_num(_U0, _V0, sc)
-    res = abs(mu_tilde_num(-_U0, -_V0, sc) - base)
-    return max(res, abs(mu_tilde_num(_V0, _U0, sc) - base))
+    u, v = _off_lattice(_U_PROBES, sc.tau), _off_lattice(_V_PROBES, sc.tau)
+    base = mu_tilde_num(u, v, sc)
+    res = abs(mu_tilde_num(-u, -v, sc) - base)
+    return max(res, abs(mu_tilde_num(v, u, sc) - base))
 
 
 def _check_gab(part):

@@ -56,7 +56,7 @@ from scipy import integrate
 from mockq.cyclotomic import Cyc24, ONE
 from mockq.errors import ConvergenceError, GridError, NonInvertibleError
 from mockq.etatheta import _grid_mult
-from mockq.numeric import _G012_HOOKS, _coerce, _gab_terms, _mordell_ratio
+from mockq.numeric import _G012_HOOKS, _coerce, _gab_terms
 from mockq.qseries import QSeries
 
 
@@ -134,6 +134,23 @@ def eichler_quad_from_taubar(g_of_z, scene) -> complex:
     re, _ = integrate.quad(f, 0, T, args=(0,), epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400)
     im, _ = integrate.quad(f, 0, T, args=(1,), epsabs=1e-13, epsrel=sc.quad_rel_tol, limit=400)
     return complex(re, im)
+
+
+def _mordell_ratio(idx, tau, x):
+    """sin 2w/sin 3w, cos w/cos 3w or sin w/sin 3w for idx = 1, 2, 3, with
+    w = pi tau x, each ratio coded on its own (the package forms sin 2w as
+    2 sin w cos w and shares sin w and cos w across the three), with its
+    limit at x = 0."""
+    if x == 0:
+        return (2.0 / 3, 1.0, 1.0 / 3)[idx - 1]
+    w = math.pi * tau * x
+    if idx == 1:
+        return cmath.sin(2 * w) / cmath.sin(3 * w)
+    if idx == 2:
+        return cmath.cos(w) / cmath.cos(3 * w)
+    if idx == 3:
+        return cmath.sin(w) / cmath.sin(3 * w)
+    raise ValueError("idx must be 1, 2 or 3")
 
 
 def _mordell_integrand(idx, sc):

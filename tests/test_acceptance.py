@@ -146,7 +146,8 @@ def test_acceptance_11_watson_mordell():
         if sc.tau == 1j:
             continue
         pre = 4 * math.sqrt(3) * cmath.sqrt(-1j * sc.tau)
-        swapped = (pre * mordell_j(1, sc), -pre * mordell_j(2, sc), pre * mordell_j(3, sc))
+        j1, j2, j3 = mordell_j(sc)
+        swapped = (pre * j1, -pre * j2, pre * j3)
         # R_vec_mordell is within 1e-6 of Watson's remainder (checked above)
         misses.append(max(abs(x - r) for x, r in zip(swapped, R_vec_mordell(sc))) - 1e-6)
     ok = ok and len(misses) == 4 and min(misses) > 1e-3

@@ -37,9 +37,13 @@ from mockq.numeric import (
     _eichler_terms_from_taubar,
     _eichler_terms_from_zero,
     _erfcx,
+    _U_PROBES,
+    _V_PROBES,
+    _float_terms,
+    _g012_on_axis,
     _g012_terms,
-    _g_ab_on_axis,
     _gab_terms,
+    _off_lattice,
     _qk15,
     _quad,
     _window,
@@ -54,6 +58,7 @@ from oracles import (
     eichler_taubar_terms_mpmath,
     erfcx_mpmath,
     g012_num,
+    g_ab_anywhere,
     g_eval,
     mordell_j_grid,
     mordell_j_quad,
@@ -216,8 +221,8 @@ WINDOWED = {
     "R_num-wide": lambda sc: R_num(U + sc.tau, sc),
     "g_ab_num": lambda sc: g_ab_num(0.3, 0.45, sc),
     "eichler_gab": lambda sc: eichler_gab(1 / 3, 0, sc),
-    "eichler_integral-taubar": lambda sc: eichler_integral(0, sc),
-    "eichler_integral-zero": lambda sc: eichler_integral(1, sc, lower="zero"),
+    "eichler_integral-taubar": eichler_integral,
+    "eichler_integral-zero": lambda sc: eichler_integral(sc, lower="zero"),
     "F_num": F_num,
 }
 
@@ -250,39 +255,58 @@ def test_windows_hold_at_a_lower_floor(re, im):
             with pytest.raises(PoleError):
                 value_at(deep)
             continue
-        # F_num returns a triple, every other entry one value
+        # F_num and eichler_integral return triples, every other entry one value
         pairs = zip(*(v if isinstance(v, tuple) else (v,) for v in (value, value_at(deep))))
         for v, d in pairs:
             assert abs(v - d) <= 1e-15 * max(1.0, abs(v)), (name, sc.tau)
 
 
 def test_from_zero_integrand_respects_the_scene_term_budget():
-    # at tau = 0.25+i the tail window holds 5 summands and the integrand's
-    # window for g_{1/3,0} at Im = 1/2 holds 11
+    # at tau = 0.25+i each tail window holds 5 summands, and the integrand's
+    # windows for g_{1/3,1/2}, g_{1/6,0} and g_{1/3,0} at Im = 1/2 hold 11
     sc = NumericScene(0.25 + 1j, max_terms=8)
     with pytest.raises(ConvergenceError):
-        eichler_integral(2, sc, lower="zero")
-    assert eichler_integral(2, NumericScene(sc.tau, max_terms=11), lower="zero")
+        eichler_integral(sc, lower="zero")
+    assert all(eichler_integral(NumericScene(sc.tau, max_terms=11), lower="zero"))
 
 
 def test_g_eval_raises_when_the_term_budget_runs_out():
     # near the real axis 4000 terms do not reach the floor: no truncated sum
     with pytest.raises(ConvergenceError):
         g_eval(_gab_terms(1 / 3, 0.0), 1e-7j)
-    # within the budget the direct sum agrees with the modular inversion
-    value = g_eval(_gab_terms(1 / 3, 0.0), 1e-3j)
-    assert abs(value - _g_ab_on_axis(1 / 3, 0.0, SC)(1e-3)) < 1e-12
+    # within the budget the direct sum agrees with the modular inversion:
+    # g2(i t) = g_{1/3,0}(3 i t)
+    value = g_eval(_gab_terms(1 / 3, 0.0), 3e-3j)
+    assert abs(value - _g012_on_axis(SC)(1e-3)[2]) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(min_value=0.01, max_value=1.0, exclude_min=True))
+# the branch point 3t = 1/2, and the floats on either side of it
+@example(t=1 / 6)
+@example(t=math.nextafter(1 / 6, 0))
+@example(t=math.nextafter(1 / 6, 1))
+@example(t=1.0)
+def test_g012_on_axis_matches_the_g_ab_series(t):
+    """The merged rows of _g012_on_axis against each g_idx(i t) = k g_{a,b}(3 i t)
+    summed on its own by g_ab_anywhere; below 3t = 1/2 both read the modular
+    inversion, whose prefactor (3t)^(-3/2) scales the floor."""
+    got = _g012_on_axis(SC)(t)
+    tol = 1e-15 * max(1.0, (3 * t) ** -1.5)
+    for idx, (k, a, b) in enumerate(_G012_HOOKS):
+        want = k * g_ab_anywhere(a, b, 3j * t)
+        assert abs(got[idx] - want) <= tol, (idx, got[idx], want)
 
 
 def test_mordell_quad_vs_grid():
+    j = mordell_j(NumericScene(1j))
     for idx in (1, 2, 3):
-        q1 = mordell_j(idx, NumericScene(1j))
         q2 = mordell_j_grid(idx, NumericScene(1j))
-        assert abs(q1 - q2) < 1e-9, idx
+        assert abs(j[idx - 1] - q2) < 1e-9, idx
 
 
 def test_mordell_j3_real_at_imaginary_tau():
-    val = mordell_j(3, NumericScene(1j))
+    val = mordell_j(NumericScene(1j))[2]
     assert abs(val.imag) < 1e-10
 
 
@@ -301,14 +325,56 @@ def test_qk15_integrates_polynomials_exactly(degree):
         exact[0] += Fraction(c.real) * span
         exact[1] += Fraction(c.imag) * span
         scale += abs(c) * float(span)
-    got, _ = _qk15(lambda t: sum(c * t**k for k, c in enumerate(coefs)), a, b)
+    (got,), _ = _qk15(lambda t: (sum(c * t**k for k, c in enumerate(coefs)),), a, b)
     assert abs(got - complex(float(exact[0]), float(exact[1]))) <= 1e-15 * scale
 
 
 def test_quad_raises_past_its_interval_budget():
     # 1e5 periods on [0, 1]: no interval converges before 400 of them exist
     with pytest.raises(ConvergenceError, match="400 intervals"):
-        _quad(lambda t: cmath.exp(2e5j * math.pi * t), 1.0, SC)
+        _quad(lambda t: (cmath.exp(2e5j * math.pi * t),), 1.0, SC)
+
+
+# 40.5 half-periods of e^(40 pi i t) on [0, HI]: the oscillating integral is
+# (e^(40.5 pi i) - 1)/(40 pi i), about 0.011 in modulus
+HI = 1.0125
+
+
+def _poly(t):
+    return 3 * t * t - 2 * t + 0.5
+
+
+# (integrand, exact integral over [0, HI]) of each component
+_POLY = (_poly, HI**3 - HI**2 + 0.5 * HI)
+_WAVE = (
+    lambda t: cmath.exp(40j * math.pi * t),
+    (cmath.exp(40j * math.pi * HI) - 1) / (40j * math.pi),
+)
+# sqrt(t): qk15 converges only algebraically at 0
+_ROOT = (math.sqrt, 2 / 3 * HI**1.5)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [((1e-6, _POLY), (1.0, _WAVE)), ((1e4, _POLY), (1e-5, _ROOT)), ((1e3, _POLY), (1e-6, _WAVE))],
+    ids=["tiny-polynomial", "tiny-root", "tiny-wave"],
+)
+def test_quad_meets_each_component_tolerance(components):
+    """One mesh for a vector whose components differ in scale and difficulty:
+    each component lands within max(1e-13, quad_rel_tol * |its integral|) of
+    its exact integral.  A mesh refined by the largest raw estimate never
+    reaches the small root's tolerance under the large polynomial's 50-ulp
+    floors, and raises ConvergenceError."""
+    got = _quad(lambda t: tuple(s * fn(t) for s, (fn, _) in components), HI, SC)
+    for g, (s, (_, exact)) in zip(got, components):
+        w = s * exact
+        assert abs(g - w) <= max(1e-13, SC.quad_rel_tol * abs(w)), (g, w)
+
+
+def test_quad_raises_on_a_nan_component():
+    # the first component converges at once; a NaN in the second never passes
+    with pytest.raises(ConvergenceError, match="400 intervals"):
+        _quad(lambda t: (_poly(t), complex(math.nan) if t > 0.7 else 1j), 1.0, SC)
 
 
 # Im(tau) down to 0.08; at the last scene the parent's scipy quadrature of the
@@ -327,12 +393,11 @@ def test_quadratures_match_scipy(tau):
     scipy's QUADPACK, which integrates the from-0 integrand up to infinity
     with no erfcx tail."""
     sc = NumericScene(tau)
-    for idx in (1, 2, 3):
+    for idx, got in enumerate(mordell_j(sc), 1):
         want = mordell_j_quad(idx, sc)
-        assert abs(mordell_j(idx, sc) - want) <= 2e-15 * abs(want), ("j", idx)
-    for idx in (0, 1, 2):
+        assert abs(got - want) <= 2e-15 * abs(want), ("j", idx)
+    for idx, got in enumerate(eichler_integral(sc, lower="zero")):
         want = eichler_from_zero_quad(idx, sc)
-        got = eichler_integral(idx, sc, lower="zero")
         assert abs(got - want) <= 2e-15 * abs(want), ("from 0", idx)
 
 
@@ -404,7 +469,7 @@ def test_eichler_tail_terms_match_incomplete_gamma(idx, re, im):
     M = _window(sc, rate, 2 * rate * _G012_HOOKS[idx][1])
     terms = list(islice(_g012_terms(idx), 2 * M + 1))
     for term, want in zip(terms, eichler_tail_terms_mpmath(terms, sc.tau, c)):
-        got = _eichler_terms_from_zero([term], sc, lambda z: 0j, c)
+        (got,) = _eichler_terms_from_zero([[term]], sc, lambda t: (0j,), c)
         assert abs(got - want) <= 1e-14 * abs(want), (term, got, want)
 
 
@@ -437,6 +502,43 @@ def test_eichler_taubar_terms_match_a_40_digit_erfc(re, im):
             exponents = math.pi * term[0] * (abs(re) + im)
             tol = 1e-14 + 2 * math.ulp(1.0) * exponents
             assert abs(got - want) <= tol * abs(want), (term, got, want)
+
+
+def test_qseries_eval_reads_each_series_once_into_a_bounded_cache():
+    s = QSeries.from_terms([(24 * k, 1) for k in range(50)], 24 * 50)
+    _float_terms.cache_clear()
+    qseries_eval(s, 1j)
+    qseries_eval(s, 0.25 + 1j)
+    assert _float_terms.cache_info().hits == 1
+    for k in range(100):
+        qseries_eval(QSeries.from_terms([(24 * k, 1)], 24 * 200), 1j)
+    info = _float_terms.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+# tau = 0.3+0.2i is the first u probe, a pole of mu in u; tau = 0.05+0.3i the
+# first v probe, where vartheta(v) = 0; tau = 0.2+0.1i mutwid-b's first u probe
+COLLISIONS = [0.3 + 0.2j, 0.05 + 0.3j, 0.2 + 0.1j, 0.3 + 0.2j + 4e-7, -0.7 + 0.2j]
+
+
+@pytest.mark.parametrize("tau", COLLISIONS, ids=repr)
+@pytest.mark.parametrize("name", ["mutwid-a", "mutwid-b", "mutwid-c"])
+def test_mutwid_probes_move_off_the_lattice(name, tau):
+    r = run_check(name, tau)
+    assert r.passed, (name, tau, r.residual)
+
+
+def test_probes_keep_their_first_choice_off_the_lattice():
+    for sc in SCENES:
+        assert _off_lattice(_U_PROBES, sc.tau) == _U_PROBES[0]
+        assert _off_lattice(_V_PROBES, sc.tau) == _V_PROBES[0]
+    # 2e-6 from the lattice point tau: far enough
+    assert _off_lattice(_U_PROBES, 0.3 + 0.2j + 2e-6j) == _U_PROBES[0]
+    assert _off_lattice(_U_PROBES, 0.3 + 0.2j) == _U_PROBES[1]
+    # 0.05+0.3i = 1 + (tau - 1) is a lattice point for tau = 1.05+0.3i
+    assert _off_lattice(_V_PROBES, 1.05 + 0.3j) == _V_PROBES[1]
+    with pytest.raises(PoleError):
+        _off_lattice(_U_PROBES[:1], 0.3 + 0.2j)
 
 
 def test_run_check_unknown_name():
@@ -502,5 +604,6 @@ def test_watson_assignment_reported():
         if sc.tau == 1j:
             continue
         pre = 4 * math.sqrt(3) * cmath.sqrt(-1j * sc.tau)
-        swapped = (pre * mordell_j(1, sc), -pre * mordell_j(2, sc), pre * mordell_j(3, sc))
+        j1, j2, j3 = mordell_j(sc)
+        swapped = (pre * j1, -pre * j2, pre * j3)
         assert max(abs(x - t) for x, t in zip(swapped, target)) > 1e-3, sc.tau
