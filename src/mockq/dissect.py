@@ -1,11 +1,17 @@
 """3-dissection machinery: the e0/e1/e2 eta-quotients, the residue-class
 Y-sums of the central bilateral sum, the six dissection relations tying them
 to omega(-q), and the assembly of the new omega identity from those pieces.
+
+Several records read `e_quotients`, `Y_components` and `omega_minus_q` at
+one cap, so each is built once per cap into a bounded `lru_cache`; their
+series are shared, never mutated, and `Y_components` is read-only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .cyclotomic import Cyc24, zeta_pow
 from .etatheta import e_product, euler_E, euler_E_inv
@@ -31,6 +37,7 @@ __all__ = [
 Y_SPEC = LerchSpec(A=Fraction(1), B=Fraction(1), c_const=-1, D=Fraction(2), E=Fraction(1))
 
 
+@lru_cache(maxsize=2)
 def e_quotients(cap):
     """(e0, e1, e2), the closed-form components of the 3-dissection of
     E(q)^2 E(q^4)^2 / (E(q^2)^2 E(q^6))."""
@@ -59,15 +66,16 @@ def Y_sums(cap):
     return tuple(lerch_expand(Y_SPEC, cap, residue=(3, j)) for j in range(3))
 
 
+@lru_cache(maxsize=2)
 def Y_components(cap):
-    """dict (j, k) -> Y_jk with Y_j(q) = sum_k q^k Y_jk(q^3), each exact to cap."""
-    inner_cap = 3 * cap + 72
-    ys = Y_sums(inner_cap)
-    return {
-        (j, k): ys[j].dissect(3, k).truncate(cap) for j in range(3) for k in range(3)
-    }
+    """Read-only (j, k) -> Y_jk with Y_j(q) = sum_k q^k Y_jk(q^3), each exact to cap."""
+    ys = Y_sums(3 * cap + 72)
+    return MappingProxyType(
+        {(j, k): ys[j].dissect(3, k).truncate(cap) for j in range(3) for k in range(3)}
+    )
 
 
+@lru_cache(maxsize=2)
 def omega_minus_q(cap) -> QSeries:
     """omega(-q) as the parity sign-twist of the Watson form."""
     return omega_watson(cap).twist_minus_q()

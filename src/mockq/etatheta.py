@@ -1,10 +1,11 @@
 """Classical q-series building blocks: Euler products, eta quotients,
-Jacobi triple product and theta functions.
+Pochhammer and Jacobi triple products, and theta functions, on the 1/24 grid.
 
-All constructors return QSeries on the 1/24 exponent grid.  Every bilateral
-series here is a Lerch sum with no denominator (c_const = 0) expanded by
-lerch.lerch_expand: E(q) from the pentagonal-number series (O(sqrt(N))
-terms), the theta sums and the half-integer theta of vartheta_onethird.
+Every bilateral series here is a Lerch sum with no denominator (c_const = 0)
+expanded by lerch.lerch_expand: E(q) from the pentagonal-number series, the
+theta sums and vartheta_onethird.  A Pochhammer product is one
+QSeries.binomial_chain: its factors are multiplied out in place on integer
+arrays and the product is normalized once.
 """
 
 from __future__ import annotations
@@ -134,59 +135,27 @@ def eta_quotient(spec: EtaQuotientSpec, cap) -> QSeries:
 def pochhammer_inf(a: Monomial, step: int, cap) -> QSeries:
     """(a; Q)_infinity = prod_{k>=0} (1 - a*Q^k) with Q = q^(step/24), step > 0.
 
-    Factors with negative exponent are normalized via
-    1 - C*q^(-p) = -C*q^(-p) * (1 - C^(-1)*q^p).
-
     Every factor exponent is a multiple of g = gcd(a.pow, step), so the
-    product is built in powers of q^(g/24) below ceil(cap/g) and spread back
-    onto the grid once.  A factor enters exactly when it would on the full
-    grid: e' < ceil(cap/g) holds if and only if e'*g < cap.
-    """
+    product is built in powers of q^(g/24) below ceil(cap/g), where e' <
+    ceil(cap/g) if and only if e'*g < cap, and spread back onto the grid."""
     if step <= 0:
         raise GridError("pochhammer step must be positive")
     g = gcd(a.pow, step)
-    p, st = a.pow // g, step // g
-    # total q-shift contributed by the normalized negative-exponent factors
-    shift_total = 0
-    e = p
-    while e < 0:
-        shift_total += e
-        e += st
-    work_cap = -(-cap // g) - shift_total
-    out = QSeries.one(work_cap)
-    k = 0
-    while True:
-        e = p + k * st
-        if e >= work_cap:
-            break
-        if e > 0:
-            out = out.mul_binomial(a.const, e)
-        elif e == 0:
-            out = out.scale(CONE - a.const)
-            if out.is_zero():
-                return QSeries.zero(cap)
-        else:
-            out = out.scale(-a.const).mul_binomial(a.const.inverse(), -e)
-        k += 1
-    return out.shift(shift_total)._stretched(g).truncate(cap)
+    p, st, top = a.pow // g, step // g, -(-cap // g)
+    n = len(range(p, top - sum(range(p, 0, st)), st))
+    return pochhammer_fin(Monomial(a.const, p), st, n, top)._stretched(g).truncate(cap)
 
 
 def pochhammer_fin(a: Monomial, step: int, n: int, cap) -> QSeries:
-    """(a; Q)_n, the finite product of n factors with Q = q^(step/24)."""
-    shift_total = sum(
-        a.pow + k * step for k in range(n) if a.pow + k * step < 0
-    )
-    out = QSeries.one(cap - shift_total)
-    for k in range(n):
-        e = a.pow + k * step
-        if e > 0:
-            if e < out.cap:
-                out = out.mul_binomial(a.const, e)
-        elif e == 0:
-            out = out.scale(CONE - a.const)
-        else:
-            out = out.scale(-a.const).mul_binomial(a.const.inverse(), -e)
-    return out.shift(shift_total)
+    """(a; Q)_n, the finite product of n factors with Q = q^(step/24), by
+    one QSeries.binomial_chain.  A factor with e < 0 is normalized by
+    1 - c*q^e = -c*q^e * (1 - c^(-1)*q^(-e)), and -c = 1 - (1 + c)."""
+    exps = [a.pow + k * step for k in range(n)]
+    neg = [-e for e in exps if e < 0]
+    factors = [(a.const, [e for e in exps if e >= 0])]
+    if neg:
+        factors += [(a.const.inverse(), neg), (CONE + a.const, [0] * len(neg))]
+    return QSeries.binomial_chain(factors, cap + sum(neg)).shift(-sum(neg))
 
 
 # ---------------------------------------------------------------------------

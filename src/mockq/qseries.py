@@ -36,7 +36,7 @@ once (`_spread`): `inv` runs its recurrence on the lattice of the series'
 support, `compose_power(k)` for integer k is one slice assignment per
 component (`_stretched`), `dissect` slices with stride 24*m, and
 `twist_minus_q` and the integer-exponent check work on 24-strided slices.
-`etatheta.pochhammer_inf` builds its product in q^(g/24) and stretches it.
+`etatheta.pochhammer_inf` runs `binomial_chain` in q^(g/24) and stretches it.
 """
 
 from __future__ import annotations
@@ -300,6 +300,34 @@ class QSeries:
             for k, v in parts:
                 by_comp[k][i] += v
         return cls(lo, cap, {k: (dens[k], nums) for k, nums in by_comp.items()})
+
+    @classmethod
+    def binomial_chain(cls, factors, cap):
+        """prod (1 - c*q^(p/24)) over each (c, ps) in factors and p in ps,
+        p >= 0, exact below cap > 0: one in-place pass per factor on integer
+        arrays over one denominator, normalized once.  A pass reads copies
+        of the old arrays, as a part z^j of c moves values between
+        components."""
+        den, comps = 1, {0: [1] + [0] * (cap - 1)}
+        for c, ps in factors:
+            parts = _parts(c)
+            m = lcm(*(d for _, _, d in parts))
+            for p in ps:
+                if p >= cap:
+                    continue
+                olds = [(i, nums[: cap - p]) for i, nums in comps.items()]
+                if m != 1:
+                    den *= m
+                    for nums in comps.values():
+                        nums[:] = map(m.__mul__, nums)
+                for j, num, d in parts:
+                    for i, old in olds:
+                        for k, s in _REDUCE[i + j]:
+                            tgt = comps.get(k) or comps.setdefault(k, [0] * cap)
+                            mult = -s * num * (m // d)
+                            src = old if mult in (1, -1) else map(mult.__mul__, old)
+                            tgt[p:] = map(sub if mult == -1 else add, tgt[p:], src)
+        return cls(0, cap, {k: (den, nums) for k, nums in comps.items()})
 
     # -- inspection ------------------------------------------------------
 

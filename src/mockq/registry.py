@@ -27,7 +27,6 @@ from .etatheta import (
     eta_quotient,
     euler_E_inv,
     jtp_product,
-    pochhammer_fin,
     theta_sum,
     vartheta_onethird,
 )
@@ -255,13 +254,16 @@ def _b_mu_swap_symmetry(cap):
 
 
 def _b_rln_omega(cap):
-    # direct Eulerian summation on the left, deliberately not via lerch
-    acc = QSeries.zero(cap)
-    n = 0
+    # the left side sum_n q^(6n^2)/((q; q^6)_(n+1) (q^5; q^6)_n) by its running
+    # term, t_n = t_(n-1) q^(12n-6)/((1-q^(6n+1))(1-q^(6n-1))): an Eulerian
+    # sum, deliberately not via lerch
+    term = QSeries.one(cap).div_binomial(1, 24)
+    acc = term
+    n = 1
     while 144 * n * n < cap:
-        den = pochhammer_fin(Monomial(Cyc24(1), 24), 144, n + 1, cap)
-        den = den * pochhammer_fin(Monomial(Cyc24(1), 120), 144, n, den.cap)
-        acc = acc + (QSeries.monomial(1, 144 * n * n, cap) * den.inv()).truncate(cap)
+        term = term.shift(144 * (2 * n - 1)).truncate(cap)
+        term = term.div_binomial(1, 24 * (6 * n + 1)).div_binomial(1, 24 * (6 * n - 1))
+        acc = acc + term
         n += 1
     w3 = omega_eulerian((cap + 71) // 3 + 1).compose_power(3)
     rhs = (
@@ -273,14 +275,16 @@ def _b_rln_omega(cap):
 
 
 def _b_rln_f(cap):
-    acc = QSeries.zero(cap)
-    n = 0
+    # sum_n (-1)^n q^(n^2) (q; q)_(2n)/(q^6; q^6)_n by its running term,
+    # t_n = -t_(n-1) q^(2n-1) (1-q^(2n-1))(1-q^(2n))/(1-q^(6n))
+    term = QSeries.one(cap)
+    acc = term
+    n = 1
     while 24 * n * n < cap:
-        t = pochhammer_fin(Monomial(Cyc24(1), 24), 24, 2 * n, cap)
-        t = t.shift(24 * n * n).truncate(cap)
-        den = pochhammer_fin(Monomial(Cyc24(1), 144), 144, n, cap)
-        term = (t * den.inv()).truncate(cap)
-        acc = acc + (term if n % 2 == 0 else -term)
+        term = -term.shift(24 * (2 * n - 1)).truncate(cap)
+        term = term.mul_binomial(1, 24 * (2 * n - 1)).mul_binomial(1, 48 * n)
+        term = term.div_binomial(1, 144 * n)
+        acc = acc + term
         n += 1
     f3 = _f_q3(cap)
     # varphi^2(-q) validated as (sum (-1)^n q^(n^2))^2, the classical theta at -q

@@ -36,7 +36,12 @@ full-grid versions of them are the references:
 - `from_terms_per_term`: `QSeries.from_terms` splitting every term's
   coefficient into rationals anew, without the per-object memo;
 - `pochhammer_inf_dense`: the binomial chain of `etatheta.pochhammer_inf`
-  on the full 1/24 grid;
+  on the full 1/24 grid, one `mul_binomial` per factor;
+- `pochhammer_fin_dense`: `etatheta.pochhammer_fin` as one `mul_binomial`
+  per factor, against its in-place `QSeries.binomial_chain`;
+- `rln_f_lhs_per_term` and `rln_omega_lhs_per_term`: the left sides of the
+  RLN_F and RLN_OMEGA records with each term's Pochhammer products built and
+  inverted anew, against the running-term recurrences of their builders;
 - `inv_full_grid`: `QSeries.inv` with its recurrence over every grid slot;
 - `div_binomial_full_grid`: the integer recurrence of `QSeries.div_binomial`
   over every grid slot, not only the residue classes that hold a nonzero;
@@ -55,7 +60,7 @@ from scipy import integrate
 
 from mockq.cyclotomic import Cyc24, ONE
 from mockq.errors import ConvergenceError, GridError, NonInvertibleError
-from mockq.etatheta import _grid_mult
+from mockq.etatheta import Monomial, _grid_mult
 from mockq.numeric import _G012_HOOKS, _coerce, _gab_terms
 from mockq.qseries import QSeries
 
@@ -358,6 +363,50 @@ def pochhammer_inf_dense(a, step, cap) -> QSeries:
             out = out.scale(-a.const).mul_binomial(a.const.inverse(), -e)
         e += step
     return out.shift(shift_total)
+
+
+def pochhammer_fin_dense(a, step, n, cap) -> QSeries:
+    """(a; q^(step/24))_n as one mul_binomial per factor, negative exponents
+    normalized by 1 - C q^-p = -C q^-p (1 - C^-1 q^p)."""
+    exps = [a.pow + k * step for k in range(n)]
+    shift_total = sum(e for e in exps if e < 0)
+    out = QSeries.one(cap - shift_total)
+    for e in exps:
+        if e > 0:
+            out = out.mul_binomial(a.const, e)
+        elif e == 0:
+            out = out.scale(ONE - a.const)
+        else:
+            out = out.scale(-a.const).mul_binomial(a.const.inverse(), -e)
+    return out.shift(shift_total)
+
+
+def rln_f_lhs_per_term(cap) -> QSeries:
+    """sum_n (-1)^n q^(n^2) (q; q)_(2n)/(q^6; q^6)_n, each term from its own
+    finite products and one inv()."""
+    acc = QSeries.zero(cap)
+    n = 0
+    while 24 * n * n < cap:
+        t = pochhammer_fin_dense(Monomial(ONE, 24), 24, 2 * n, cap)
+        t = t.shift(24 * n * n).truncate(cap)
+        den = pochhammer_fin_dense(Monomial(ONE, 144), 144, n, cap)
+        term = (t * den.inv()).truncate(cap)
+        acc = acc + (term if n % 2 == 0 else -term)
+        n += 1
+    return acc
+
+
+def rln_omega_lhs_per_term(cap) -> QSeries:
+    """sum_n q^(6n^2)/((q; q^6)_(n+1) (q^5; q^6)_n), each term from its own
+    finite products and one inv()."""
+    acc = QSeries.zero(cap)
+    n = 0
+    while 144 * n * n < cap:
+        den = pochhammer_fin_dense(Monomial(ONE, 24), 144, n + 1, cap)
+        den = den * pochhammer_fin_dense(Monomial(ONE, 120), 144, n, den.cap)
+        acc = acc + (QSeries.monomial(1, 144 * n * n, cap) * den.inv()).truncate(cap)
+        n += 1
+    return acc
 
 
 def inv_full_grid(s) -> QSeries:

@@ -1,6 +1,7 @@
 import pytest
 
 from mockq.cyclotomic import Cyc24
+from mockq.qseries import QSeries
 from mockq.dissect import (
     Y_components,
     Y_sums,
@@ -74,3 +75,44 @@ def test_e_quotients_start_correctly():
 def test_unknown_part_rejected():
     with pytest.raises(ValueError):
         mudiss_sides("vii", 240)
+
+
+def _series(piece):
+    """The QSeries inside a cached piece: a tuple, a mapping or one series."""
+    if isinstance(piece, QSeries):
+        return [piece]
+    return list(piece.values()) if hasattr(piece, "values") else list(piece)
+
+
+@pytest.mark.parametrize("build", [e_quotients, Y_components, omega_minus_q])
+def test_dissection_pieces_are_built_once_per_cap(build):
+    build.cache_clear()
+    first = build(240)
+    again = build(240)
+    assert again is first
+    assert all(x is y for x, y in zip(_series(again), _series(first)))
+    other = build(264)
+    assert other is not first
+    assert [s.cap for s in _series(other)] == [264] * len(_series(first))
+    assert [s.cap for s in _series(first)] == [240] * len(_series(first))
+
+
+@pytest.mark.parametrize("build", [e_quotients, Y_components, omega_minus_q])
+def test_dissection_piece_cache_is_bounded(build):
+    maxsize = build.cache_info().maxsize
+    assert maxsize is not None and 1 <= maxsize <= 4
+    build.cache_clear()
+    first = build(240)
+    for i in range(1, maxsize + 1):
+        build(240 + 24 * i)
+    assert build.cache_info().currsize == maxsize
+    assert build(240) is not first
+
+
+def test_Y_components_mapping_is_read_only():
+    yk = Y_components(240)
+    with pytest.raises(TypeError):
+        yk[(0, 0)] = QSeries.zero(240)
+    with pytest.raises(TypeError):
+        del yk[(1, 0)]
+    assert len(yk) == 9

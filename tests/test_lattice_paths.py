@@ -1,14 +1,14 @@
-"""The lattice-compressed producers of the exact kernel against their
-full-grid references in `oracles`: pochhammer_inf, inv, div_binomial,
-dissect, compose_power and from_terms must give the same series, `low` and
-`cap` included."""
+"""The lattice-compressed and in-place producers of the exact kernel against
+their references in `oracles`: pochhammer_inf, pochhammer_fin, inv,
+div_binomial, dissect, compose_power and from_terms must give the same
+series, `low` and `cap` included."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mockq.cyclotomic import Cyc24, zeta_pow
-from mockq.etatheta import Monomial, pochhammer_inf
+from mockq.etatheta import Monomial, pochhammer_fin, pochhammer_inf
 from mockq.qseries import QSeries
 from oracles import (
     compose_power_loop,
@@ -16,6 +16,7 @@ from oracles import (
     div_binomial_full_grid,
     from_terms_per_term,
     inv_full_grid,
+    pochhammer_fin_dense,
     pochhammer_inf_dense,
 )
 
@@ -48,6 +49,34 @@ _SMALL_RATIONAL = st.builds(
 def test_pochhammer_inf_matches_the_dense_chain(const, pow_, step, cap):
     a = Monomial(const, pow_)
     assert same(pochhammer_inf(a, step, cap), pochhammer_inf_dense(a, step, cap))
+
+
+# constants with several components, each a small rational: a sum of two
+# or three distinct basis elements z^k with non-unit denominators possible
+_MULTI_COMPONENT = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(-3, 3).filter(bool), st.integers(1, 4)),
+    min_size=2,
+    max_size=3,
+    unique_by=lambda t: t[0],
+).map(lambda parts: sum((_basis(k, Fraction(n, d)) for k, n, d in parts), Cyc24(0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    const=st.one_of(_ROOT, _SMALL_RATIONAL, _MULTI_COMPONENT),
+    pow_=st.integers(-72, 72),
+    step=st.sampled_from([-24, 0, 6, 12, 24, 48, 72]),
+    n=st.integers(0, 8),
+    cap=st.integers(1, 600),
+)
+@example(const=Cyc24(1), pow_=-24, step=24, n=3, cap=200)  # the factor 1 - 1 = 0
+@example(
+    const=_basis(1, Fraction(1, 2)) + _basis(5, Fraction(-2, 3)), pow_=-30, step=12, n=6, cap=300
+)
+def test_pochhammer_fin_matches_one_mul_binomial_per_factor(const, pow_, step, n, cap):
+    # factor exponents pow_ + k*step run through negative, zero and positive
+    a = Monomial(const, pow_)
+    assert same(pochhammer_fin(a, step, n, cap), pochhammer_fin_dense(a, step, n, cap))
 
 
 # integer-exponent series in several components: (whole exponent t,

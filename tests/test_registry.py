@@ -9,6 +9,7 @@ from mockq.registry import (
     verify,
     verify_all,
 )
+from oracles import rln_f_lhs_per_term, rln_omega_lhs_per_term
 
 
 def test_catalog_shape():
@@ -75,3 +76,16 @@ def test_rln_descriptions_record_interpretation():
     recs = {r.id: r for r in registry_catalog()}
     assert "omega(q^3)" in recs["RLN_OMEGA"].description
     assert "classical theta" in recs["RLN_F"].description
+
+
+@pytest.mark.parametrize(
+    "rec_id, oracle", [("RLN_F", rln_f_lhs_per_term), ("RLN_OMEGA", rln_omega_lhs_per_term)]
+)
+@pytest.mark.parametrize("order", [40, 250])
+def test_rln_left_sides_match_the_per_term_construction(rec_id, oracle, order):
+    # orders the catalog digest does not pin (it builds RLN_* at order 100)
+    cap = 24 * order + 120
+    rec = {r.id: r for r in registry_catalog()}[rec_id]
+    lhs = rec.builder(cap)[0][0]
+    want = oracle(cap)
+    assert (lhs.low, lhs.cap, lhs.dump()) == (want.low, want.cap, want.dump())
