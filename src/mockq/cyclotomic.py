@@ -4,17 +4,23 @@ The single field element type `Cyc24` is the coefficient domain for every
 formal series in the package: it contains i = z^6, zeta_3 = z^8, sqrt(3)
 = 2*z^2 - z^6 and all 24th roots of unity, which covers every constant
 that shows up in the identities we verify.
+
+An element is (n0 + n1*z + ... + n7*z^7)/den, eight integer numerators
+over one positive denominator with gcd 1, the normal form of a QSeries
+component.  +, -, * and == are integer operations and one gcd; `inverse`
+runs the extended Euclidean algorithm on integer polynomials.  `c` views
+the coefficients as Fractions.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["Cyc24", "zeta_pow", "exp_pi_i", "ZERO", "ONE"]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_Z7 = (0,) * 7
 
 # x^e reduced mod x^8 - x^4 + 1, for e = 0..14: list of (index, sign)
 _REDUCE = {}
@@ -29,30 +35,64 @@ for _e in range(15):
         _REDUCE[_e] = ((_e - 12, -1),)
 
 
+def _ratstr(n, d):
+    """str(Fraction(n, d)) for an integer n and a positive integer d."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
+
+
 class Cyc24:
-    """c0 + c1*z + ... + c7*z^7 with z = exp(2*pi*i/24), coefficients rational."""
+    """(n0 + n1*z + ... + n7*z^7)/den with z = exp(2*pi*i/24): the integer
+    numerators `num` over the positive denominator `den`, gcd-normalised."""
 
-    __slots__ = ("c",)
+    __slots__ = ("den", "num")
 
-    def __init__(self, coeffs=0):
+    def __init__(self, coeffs=0, den=1):
+        """coeffs/den: coeffs is a Cyc24, a rational, or the eight rational
+        coefficients of 1, z, ..., z^7, and den a nonzero integer."""
         if isinstance(coeffs, Cyc24):
-            self.c = coeffs.c
-            return
+            coeffs, den = coeffs.num, coeffs.den * den
         if isinstance(coeffs, (int, Fraction)):
-            self.c = (Fraction(coeffs),) + (_F0,) * 7
-            return
-        cs = tuple(Fraction(x) for x in coeffs)
-        if len(cs) != 8:
-            raise ValueError("Cyc24 needs exactly 8 coefficients")
-        self.c = cs
+            nums = (coeffs,) + _Z7
+        else:
+            nums = tuple(coeffs)
+            if len(nums) != 8:
+                raise ValueError("Cyc24 needs exactly 8 coefficients")
+        if not den:
+            raise ZeroDivisionError("Cyc24 with denominator 0")
+        try:
+            g = gcd(den, *nums)
+        except TypeError:  # rational coefficients: one common denominator
+            fs = [Fraction(x) for x in nums]
+            d = lcm(*(f.denominator for f in fs))
+            nums = tuple(f.numerator * (d // f.denominator) for f in fs)
+            den *= d
+            g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
+        self.den, self.num = den, nums
+
+    @property
+    def c(self):
+        """The eight coefficients as Fractions (a read-only view)."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- ring structure -------------------------------------------------
+
+    def _plus(self, o, sign):
+        """self + sign*o for sign = +-1, over the lcm of the denominators."""
+        g = gcd(self.den, o.den)
+        ma, mb = o.den // g, sign * (self.den // g)
+        return Cyc24([ma * x + mb * y for x, y in zip(self.num, o.num)], self.den * ma)
 
     def __add__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyc24([a + b for a, b in zip(self.c, o.c)])
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -60,55 +100,53 @@ class Cyc24:
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyc24([a - b for a, b in zip(self.c, o.c)])
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyc24([a - b for a, b in zip(o.c, self.c)])
+        return o._plus(self, -1)
 
     def __neg__(self):
-        return Cyc24([-a for a in self.c])
+        return Cyc24([-x for x in self.num], self.den)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.c, o.c
-        out = [_F0] * 8
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                p = ai * bj
-                for k, s in _REDUCE[i + j]:
-                    out[k] = out[k] + p if s > 0 else out[k] - p
-        return Cyc24(out)
+        p = [0] * 15
+        nzb = [(j, y) for j, y in enumerate(o.num) if y]
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in nzb:
+                    p[i + j] += x * y
+        for e in range(14, 7, -1):  # x^e = x^(e-4) - x^(e-8)
+            if p[e]:
+                p[e - 4] += p[e]
+                p[e - 8] -= p[e]
+        return Cyc24(p[:8], self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc24":
-        """Multiplicative inverse via extended Euclid against Phi_24 over Q."""
+        """Extended Euclid against Phi_24 on integer polynomials: each step
+        cancels r0's leading term with r1, keeping r = s*num mod Phi_24 for
+        both pairs, and divides the content out once per division.  Phi_24
+        is irreducible, so r1 ends as a constant, and self^-1 = den*s1/r1."""
         if not self:
             raise ZeroDivisionError("inverse of zero Cyc24 element")
-        # fast path: plain rationals
-        if all(not x for x in self.c[1:]):
-            return Cyc24(1 / self.c[0])
-        phi = [_F1, _F0, _F0, _F0, -_F1, _F0, _F0, _F0, _F1]  # 1 - x^4 + x^8
-        r0, r1 = phi, _trim(list(self.c))
-        s0, s1 = [], [_F1]
-        while r1:
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        # r0 = gcd = nonzero constant (Phi_24 irreducible), s0 * self = r0 mod Phi
-        lead = r0[0]
-        inv = [x / lead for x in s0]
-        inv += [_F0] * (8 - len(inv))
-        return Cyc24(inv[:8])
+        r0, r1 = [1, 0, 0, 0, -1, 0, 0, 0, 1], _trim(list(self.num))
+        s0, s1 = [0] * 16, [1] + [0] * 15
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                sh, a, b = len(r0) - len(r1), r1[-1], r0[-1]
+                r0 = _trim([a * x - b * y for x, y in zip(r0, [0] * sh + r1)])
+                s0 = [a * x - b * y for x, y in zip(s0, [0] * sh + s1)]
+            g = gcd(*r0, *s0)
+            r0, r1 = r1, [x // g for x in r0]
+            s0, s1 = s1, [x // g for x in s0]
+        return Cyc24([self.den * x for x in s1[:8]], r1[0])
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -137,60 +175,51 @@ class Cyc24:
 
     def conjugate(self) -> "Cyc24":
         """Complex conjugation, the Galois map z -> z^-1."""
-        out = ZERO
-        for j, cj in enumerate(self.c):
-            if cj:
-                out = out + cj * zeta_pow(-j)
-        return out
+        out = sum((cj * zeta_pow(-j) for j, cj in enumerate(self.num) if cj), ZERO)
+        return Cyc24(out, self.den)
 
     def to_complex(self) -> complex:
         return sum(
-            float(cj) * cmath.exp(2j * cmath.pi * j / 24)
-            for j, cj in enumerate(self.c)
+            cj / self.den * cmath.exp(2j * cmath.pi * j / 24)
+            for j, cj in enumerate(self.num)
             if cj
         ) + 0j
 
     def is_rational(self) -> bool:
-        return all(not x for x in self.c[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational: %s" % (self,))
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     # -- misc -------------------------------------------------------------
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.num)
 
     def __eq__(self, other):
         o = _coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.c == o.c
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.den, self.num))
 
     def __repr__(self):
         return "Cyc24(%s)" % (self.to_text(),)
 
     def to_text(self) -> str:
         """Lossless rendering "c0 + c1*z + ... + c7*z^7" with rationals p/q."""
-        parts = []
-        for k, ck in enumerate(self.c):
-            s = str(ck)
-            if k == 0:
-                parts.append(s)
-            elif k == 1:
-                parts.append("%s*z" % s)
-            else:
-                parts.append("%s*z^%d" % (s, k))
-        return " + ".join(parts)
+        return " + ".join(
+            s if k == 0 else "%s*z" % s if k == 1 else "%s*z^%d" % (s, k)
+            for k, s in enumerate(_ratstr(x, self.den) for x in self.num)
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "Cyc24":
-        out = [_F0] * 8
+        out = [0] * 8
         for part in text.split(" + "):
             part = part.strip()
             if "*z" in part:
@@ -216,37 +245,6 @@ def _trim(p):
     return p
 
 
-def _polymul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0) for i in range(n)]
-    return _trim(out)
-
-
-def _polydivmod(a, b):
-    a = list(a)
-    q = [_F0] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, bj in enumerate(b):
-                a[i + j] -= coef * bj
-    return _trim(q), _trim(a)
-
-
 ZERO = Cyc24(0)
 ONE = Cyc24(1)
 
@@ -257,15 +255,11 @@ def zeta_pow(k: int) -> Cyc24:
     """zeta_24^k as an exact element."""
     k %= 24
     if k not in _ZETA_CACHE:
-        if k < 8:
-            coeffs = [_F0] * 8
-            coeffs[k] = _F1
+        if k < 12:
+            coeffs = [0] * 8
+            for j, s in _REDUCE[k]:
+                coeffs[j] = s
             val = Cyc24(coeffs)
-        elif k < 12:
-            a = [_F0] * 8
-            a[k - 4] = _F1
-            a[k - 8] = -_F1
-            val = Cyc24(a)
         else:
             val = -zeta_pow(k - 12)
         _ZETA_CACHE[k] = val

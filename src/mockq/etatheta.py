@@ -3,9 +3,9 @@ Pochhammer and Jacobi triple products, and theta functions, on the 1/24 grid.
 
 Every bilateral series here is a Lerch sum with no denominator (c_const = 0)
 expanded by lerch.lerch_expand: E(q) from the pentagonal-number series, the
-theta sums and vartheta_onethird.  A Pochhammer product is one
-QSeries.binomial_chain: its factors are multiplied out in place on integer
-arrays and the product is normalized once.
+theta sums and vartheta_onethird.  A Pochhammer product (a1, ..., ak; Q),
+such as the two of a Theta, is one QSeries.binomial_chain over every
+factor of every start, multiplied out in place on integer arrays.
 """
 
 from __future__ import annotations
@@ -132,30 +132,43 @@ def eta_quotient(spec: EtaQuotientSpec, cap) -> QSeries:
 # Pochhammer products with monomial argument
 
 
-def pochhammer_inf(a: Monomial, step: int, cap) -> QSeries:
-    """(a; Q)_infinity = prod_{k>=0} (1 - a*Q^k) with Q = q^(step/24), step > 0.
-
-    Every factor exponent is a multiple of g = gcd(a.pow, step), so the
-    product is built in powers of q^(g/24) below ceil(cap/g), where e' <
-    ceil(cap/g) if and only if e'*g < cap, and spread back onto the grid."""
+def pochhammer_inf(a, step: int, cap) -> QSeries:
+    """(a1, ..., ak; Q)_infinity with Q = q^(step/24), step > 0, for a tuple
+    of Monomials or one Monomial.  Every factor exponent is a multiple of
+    g = gcd(step, every pow), so all factors are one binomial chain in
+    q^(g/24) below ceil(cap/g) (e' < ceil(cap/g) iff e'*g < cap), spread
+    back onto the grid.  Factors run past that by the total S of the
+    negative exponents, which _chain shifts out."""
+    starts = (a,) if isinstance(a, Monomial) else tuple(a)
     if step <= 0:
         raise GridError("pochhammer step must be positive")
-    g = gcd(a.pow, step)
-    p, st, top = a.pow // g, step // g, -(-cap // g)
-    n = len(range(p, top - sum(range(p, 0, st)), st))
-    return pochhammer_fin(Monomial(a.const, p), st, n, top)._stretched(g).truncate(cap)
+    g = gcd(step, *(z.pow for z in starts))
+    st, top = step // g, -(-cap // g)
+    top_s = top - sum(sum(range(z.pow // g, 0, st)) for z in starts)
+    exps = [(z.const, range(z.pow // g, top_s, st)) for z in starts]
+    return _chain(exps, top)._stretched(g).truncate(cap)
 
 
-def pochhammer_fin(a: Monomial, step: int, n: int, cap) -> QSeries:
-    """(a; Q)_n, the finite product of n factors with Q = q^(step/24), by
-    one QSeries.binomial_chain.  A factor with e < 0 is normalized by
-    1 - c*q^e = -c*q^e * (1 - c^(-1)*q^(-e)), and -c = 1 - (1 + c)."""
-    exps = [a.pow + k * step for k in range(n)]
-    neg = [-e for e in exps if e < 0]
-    factors = [(a.const, [e for e in exps if e >= 0])]
-    if neg:
-        factors += [(a.const.inverse(), neg), (CONE + a.const, [0] * len(neg))]
-    return QSeries.binomial_chain(factors, cap + sum(neg)).shift(-sum(neg))
+def pochhammer_fin(a, step: int, n: int, cap) -> QSeries:
+    """(a1, ..., ak; Q)_n with Q = q^(step/24), for a tuple of Monomials or
+    one Monomial."""
+    starts = (a,) if isinstance(a, Monomial) else tuple(a)
+    return _chain([(z.const, [z.pow + k * step for k in range(n)]) for z in starts], cap)
+
+
+def _chain(exps, cap) -> QSeries:
+    """prod (1 - c*q^(e/24)) over each (c, es) in exps and e in es, as one
+    QSeries.binomial_chain.  A factor with e < 0 is -c*q^e * (1 -
+    c^(-1)*q^(-e)) with -c = 1 - (1 + c); the chain runs to cap + S for the
+    total S of the -e and is shifted by -S."""
+    factors, shift = [], 0
+    for c, es in exps:
+        neg = [-e for e in es if e < 0]
+        factors.append((c, [e for e in es if e >= 0]))
+        if neg:
+            factors += [(c.inverse(), neg), (CONE + c, [0] * len(neg))]
+            shift += sum(neg)
+    return QSeries.binomial_chain(factors, cap + shift).shift(-shift)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +189,8 @@ def theta_sum(z: Monomial, cap) -> QSeries:
 def theta_Theta(z: Monomial, m, cap) -> QSeries:
     """Theta(z, q^m) = (z; q^m)(z^-1 q^m; q^m)(q^m; q^m)."""
     step = _grid_mult(m)
-    out = euler_E(m, cap)
-    out = out * pochhammer_inf(z, step, out.cap)
-    out = out * pochhammer_inf(Monomial(z.const.inverse(), step - z.pow), step, out.cap)
-    return out
+    prod = pochhammer_inf((z, Monomial(z.const.inverse(), step - z.pow)), step, cap)
+    return euler_E(m, cap - min(0, prod.low)) * prod
 
 
 def theta3(cap, m=1) -> QSeries:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
-from math import ceil, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .cyclotomic import Cyc24, ONE as CONE, exp_pi_i, zeta_pow
 from .errors import GridError, PoleError, ThetaVanishesError
@@ -43,15 +43,11 @@ class LerchSpec:
     global_sign: int = -1
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "C", Fraction(self.C))
-        object.__setattr__(self, "D", Fraction(self.D))
-        object.__setattr__(self, "E", Fraction(self.E))
-        if not isinstance(self.rho_const, Cyc24):
-            object.__setattr__(self, "rho_const", Cyc24(self.rho_const))
-        if not isinstance(self.c_const, Cyc24):
-            object.__setattr__(self, "c_const", Cyc24(self.c_const))
+        for f in "ABCDE":
+            object.__setattr__(self, f, Fraction(getattr(self, f)))
+        for f in ("rho_const", "c_const"):
+            if not isinstance(getattr(self, f), Cyc24):
+                object.__setattr__(self, f, Cyc24(getattr(self, f)))
         if self.A <= 0:
             raise ValueError("lerch spec needs A > 0")
         if self.global_sign not in (1, -1):
@@ -87,56 +83,56 @@ class LerchSpec:
 
 def _n_window(spec: LerchSpec, cap: int):
     """Conservative symmetric bound: all n with any contribution below cap lie
-    in [-N, N].  The minimal attainable exponent of term n is at least
-    24*A*n^2 - slope*|n| + const, so solve that quadratic."""
-    A24 = 24 * spec.A
-    slope = abs(24 * spec.B) + abs(spec.rho_qpow) + abs(24 * spec.D)
-    const = 24 * spec.C - abs(24 * spec.E)
-    # find smallest N with A24*N^2 - slope*N + const >= cap
-    disc = slope * slope - 4 * A24 * (const - cap)
+    in [-N, N].  A denominator 1 - c q^p only adds exponents above e0(n) =
+    (a n^2 + b n + c)/den (spec._num), so solve a N^2 - |b| N + c >= cap*den
+    in integers."""
+    a, b, c, den = spec._num
+    disc = b * b - 4 * a * (c - cap * den)
     if disc < 0:
         return 2
-    N = int(ceil((slope + isqrt(int(disc)) + 1) / (2 * A24))) + 2
-    return N
+    return -(-(abs(b) + isqrt(disc) + 1) // (2 * a)) + 2
+
+
+# zeta^k -> k; every root of unity in Q(zeta_24) is a 24th root of unity
+_ZETA_LOG = {zeta_pow(k): k for k in range(24)}
 
 
 def _root_order(c: Cyc24):
     """The least r <= 24 with c^r = 1, or None if c is no such root of unity."""
-    pw = c
-    for r in range(1, 25):
-        if pw == CONE:
-            return r
-        pw = pw * c
-    return None
+    k = _ZETA_LOG.get(c)
+    return None if k is None else 24 // gcd(k, 24)
 
 
-def _geometric_tail(coef: Cyc24, ratio: Cyc24, order, count):
-    """coef*ratio^k for k < min(count, order), or for every k < count where
-    ratio has no finite order <= 24 (order None)."""
-    out = [coef]
-    for _ in range(1, count if order is None else min(count, order)):
-        out.append(out[-1] * ratio)
-    return out
+def _geometric_tail(coef: Cyc24, ratio: Cyc24, count):
+    """coef*ratio^k for k < count, or only for k below the order r of a root
+    of unity ratio, as they repeat with period r; each of those is one
+    zeta_pow read, or one product if coef is no root of unity."""
+    r = _root_order(ratio)
+    if r is None:
+        out = [coef]
+        for _ in range(1, count):
+            out.append(out[-1] * ratio)
+        return out
+    kr, kc = _ZETA_LOG[ratio], _ZETA_LOG.get(coef)
+    if kc is None:
+        return [coef * zeta_pow(kr * k) for k in range(min(count, r))]
+    return [zeta_pow(kc + kr * k) for k in range(min(count, r))]
 
 
 def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
     """Exact expansion below grid cap.  residue=(m, j) keeps only n = j mod m.
 
     With c = 0 each term n is the single monomial base^n q^(e0).  Otherwise
-    each term n expands 1/(1 - c q^p) as a geometric tail.  When c^r = 1
-    for some r <= 24 (every c of the catalog), the coefficients of a tail
-    repeat with period r, so only its first r are multiplied out and the
-    rest reuse them cyclically; any other c keeps the multiply chain.  The
-    term constants base^n are read off the orbit of base in the same way.
+    each term n expands 1/(1 - c q^p) as a geometric tail, one period of it
+    when c is a root of unity (every c of the catalog); then from_terms
+    reads each distinct coefficient once.  A root of unity base gives each
+    base^n by one zeta_pow read.
     """
     base = spec._base()
-    base_order = _root_order(base)
-    if base_order is not None:
-        base_orbit = _geometric_tail(CONE, base, base_order, base_order)
+    kb = _ZETA_LOG.get(base)
     N = _n_window(spec, cap)
     c = spec.c_const
     plain = not c  # c = 0: no denominator
-    order = None if plain else _root_order(c)
     cinv = None
     terms = []
     for n in range(-N, N + 1):
@@ -147,14 +143,14 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
         lowest = e0 if p >= 0 else e0 - p
         if lowest >= cap:
             continue
-        coef = base**n if base_order is None else base_orbit[n % base_order]
+        coef = base**n if kb is None else zeta_pow(kb * n)
         if plain:
             terms.append((e0, coef))
         elif p > 0:
             exps = range(e0, cap, p)
-            terms += zip(exps, cycle(_geometric_tail(coef, c, order, len(exps))))
+            terms += zip(exps, cycle(_geometric_tail(coef, c, len(exps))))
         elif p == 0:
-            if order == 1:
+            if c == CONE:
                 raise PoleError("term n=%d has denominator 1 - q^0" % n)
             terms.append((e0, coef * (CONE - c).inverse()))
         else:
@@ -162,8 +158,7 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
             if cinv is None:
                 cinv = c.inverse()
             exps = range(e0 - p, cap, -p)
-            tail = _geometric_tail(-coef * cinv, cinv, order, len(exps))
-            terms += zip(exps, cycle(tail))
+            terms += zip(exps, cycle(_geometric_tail(-coef * cinv, cinv, len(exps))))
     return QSeries.from_terms(terms, cap)
 
 
@@ -178,8 +173,7 @@ def crank_pair(z: Monomial, cap: int, qmult: int = 1):
 
     g = 24 * qmult
     work = cap + 2 * abs(z.pow) + 2 * g
-    den = pochhammer_inf(Monomial(z.const, z.pow + g), g, work)
-    den = den * pochhammer_inf(Monomial(z.const.inverse(), g - z.pow), g, den.cap)
+    den = pochhammer_inf((Monomial(z.const, z.pow + g), Monomial(z.const.inverse(), g - z.pow)), g, work)
     if den.is_zero():
         raise PoleError("crank product side vanishes identically at z")
     lhs = (euler_E(qmult, den.cap - min(0, den.low)) * den.inv())

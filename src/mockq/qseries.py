@@ -5,38 +5,26 @@ q-exponent of grid index e is e/24.  A series knows its lowest materialized
 exponent `low` and an exclusive precision bound `cap`: coefficients at every
 grid index in [low, cap) are exact, everything at or beyond `cap` is unknown.
 
-Internally a series is split into components along the power basis of
-Q(zeta_24): comps[k] = (den, nums) holds the rational coefficient array of
-zeta^k as integer numerators over a single positive denominator.  Most series
-live entirely in component 0, so multiplication usually costs one integer
-convolution.  Dense convolutions go through Kronecker substitution (pack the
-coefficient array into one big integer, multiply, unpack), which turns the
-schoolbook O(N^2) bound into a couple of big-integer products.
+comps[k] = (den, nums) holds the coefficients of zeta^k as integer
+numerators over one positive denominator, gcd-normalised, as a Cyc24 holds
+its own; most series live in component 0 alone.  The operations work on
+these arrays directly:
 
-The operations work on these component arrays directly:
-
-- `_conv` factors both supports onto their common lattice o + g*Z before
-  convolving.  Series in whole powers of q, q^2 or q^3 sit on a stride of
-  24, 48 or 72 grid units, so the packed arrays shrink by that factor.
-- `eq_to` compares each component's window as an integer array,
-  cross-multiplying by the denominators where they differ, and builds Cyc24
-  values only for the witness at the first differing grid point.
-- `scale` and `mul_binomial` apply each rational part of a constant as one
-  integer multiplier; a 24th root of unity is one or two parts +-z^j, each
-  of which only permutes components and flips signs through `_REDUCE`.
-
-`lerch.lerch_expand` feeds `from_terms` with geometric tails whose
-coefficients it multiplies out only once per period when the ratio is a
-root of unity; `from_terms` splits each distinct coefficient object into
-rational parts once per call, so a repeated Cyc24 costs one split.
+- `_conv` factors both supports onto their common lattice o + g*Z, then
+  convolves by schoolbook or by Kronecker substitution (one big-integer
+  product); series in q, q^2 or q^3 pack 24, 48 or 72 times fewer slots.
+- `eq_to` compares each component's window as an integer array and builds
+  Cyc24 values only for the witness at the first differing grid point.
+- `scale`, `mul_binomial` and `binomial_chain` read a constant's numerators
+  as integer multipliers; a part z^j only permutes components and flips
+  signs through `_REDUCE`.
+- `from_terms` groups the exponents by coefficient value, so the cyclic
+  tails of `lerch.lerch_expand` read each root of unity once.
 
 Storage stays on the full 1/24 grid, but the producers whose output sits on
 a coarser lattice g*Z run on every g-th slot and spread the result back
-once (`_spread`): `inv` runs its recurrence on the lattice of the series'
-support, `compose_power(k)` for integer k is one slice assignment per
-component (`_stretched`), `dissect` slices with stride 24*m, and
-`twist_minus_q` and the integer-exponent check work on 24-strided slices.
-`etatheta.pochhammer_inf` runs `binomial_chain` in q^(g/24) and stretches it.
+once (`_spread`): `inv`, `compose_power(k)` for integer k (`_stretched`),
+`dissect`, `twist_minus_q`, and `etatheta.pochhammer_inf`.
 """
 
 from __future__ import annotations
@@ -51,7 +39,7 @@ try:
 except ImportError:  # gmpy2 is optional; without it the kernel uses Python int
     _mpz = int
 
-from .cyclotomic import Cyc24, ZERO as CZERO, _REDUCE
+from .cyclotomic import Cyc24, ZERO as CZERO, _REDUCE, _ratstr
 from .errors import GridError, NonInvertibleError, PrecisionError
 
 __all__ = ["QSeries"]
@@ -195,9 +183,18 @@ def _place(nums, off, n):
 
 
 def _parts(c):
-    """(j, numerator, denominator) of each nonzero rational coefficient of
-    the Cyc24 c along the power basis."""
-    return [(j, x.numerator, x.denominator) for j, x in enumerate(c.c) if x]
+    """(j, numerator, denominator) of each nonzero coefficient of the Cyc24
+    c along the power basis, all over c's one denominator."""
+    return [(j, x, c.den) for j, x in enumerate(c.num) if x]
+
+
+def _cyc(parts):
+    """The Cyc24 sum of v/d * z^k over the (k, v, d) in parts."""
+    den = lcm(*(d for _, _, d in parts))
+    nums = [0] * 8
+    for k, v, d in parts:
+        nums[k] = v * (den // d)
+    return Cyc24(nums, den)
 
 
 def _spread(nums, g, n):
@@ -219,13 +216,14 @@ class QSeries:
     __slots__ = ("low", "cap", "comps")
 
     def __init__(self, low, cap, comps, _trusted=False):
-        """comps: dict k -> (den, nums) with len(nums) == cap - low."""
+        """comps: dict k -> (den, nums) with len(nums) == cap - low; the
+        nums lists are taken over, not copied."""
         if low > cap:
             raise ValueError("low > cap")
         if not _trusted:
             comps = {
                 k: c
-                for k, c in ((k, _norm_comp(d, list(n))) for k, (d, n) in comps.items())
+                for k, c in ((k, _norm_comp(d, n)) for k, (d, n) in comps.items())
                 if c is not None
             }
         self.comps = comps
@@ -254,52 +252,32 @@ class QSeries:
 
     @classmethod
     def monomial(cls, const, e, cap):
-        c = const if isinstance(const, Cyc24) else Cyc24(const)
-        if e >= cap or not c:
-            return cls.zero(cap)
-        comps = {}
-        for k, ck in enumerate(c.c):
-            if ck:
-                nums = [0] * (cap - e)
-                nums[0] = ck.numerator
-                comps[k] = (ck.denominator, nums)
-        return cls(e, cap, comps, _trusted=True)
+        return cls.from_terms([(e, const)], cap)
 
     @classmethod
     def from_terms(cls, terms, cap):
-        """terms: iterable of (grid_exponent, coefficient).
-
-        Each distinct coefficient object is split into its (component,
-        numerator, denominator) parts once; the memo is keyed by object
-        identity and holds the object, so no key is reused during the call.
-        Geometric tails that repeat the same Cyc24 objects pay for their
-        Fractions once per distinct object, not once per term."""
-        memo = {}
-        items = []
+        """terms: iterable of (grid_exponent, coefficient), grouped by
+        coefficient value, so a tail that repeats a few roots of unity reads
+        each one's numerators once."""
+        groups = {}
         for e, c in terms:
-            if e >= cap:
-                continue
-            hit = memo.get(id(c))
-            if hit is None:
-                hit = memo[id(c)] = (c, _parts(c if isinstance(c, Cyc24) else Cyc24(c)))
-            if hit[1]:
-                items.append((e, hit[1]))
-        if not items:
+            if e < cap:
+                groups.setdefault(c, []).append(e)
+        cs = [(c if isinstance(c, Cyc24) else Cyc24(c), es) for c, es in groups.items()]
+        if not cs:
             return cls.zero(cap)
-        lo = min(e for e, _ in items)
-        n = cap - lo
-        dens = {}
-        for _, parts in memo.values():
-            for k, _, den in parts:
-                dens[k] = lcm(dens.get(k, 1), den)
-        for _, parts in memo.values():
-            parts[:] = [(k, num * (dens[k] // den)) for k, num, den in parts]
-        by_comp = {k: [0] * n for k in dens}
-        for e, parts in items:
-            i = e - lo
-            for k, v in parts:
-                by_comp[k][i] += v
-        return cls(lo, cap, {k: (dens[k], nums) for k, nums in by_comp.items()})
+        lo = min(min(es) for _, es in cs)
+        den = lcm(*(c.den for c, _ in cs))
+        by_comp = {}
+        for c, es in cs:
+            m = den // c.den
+            for k, x in enumerate(c.num):
+                if x:
+                    nums = by_comp.get(k) or by_comp.setdefault(k, [0] * (cap - lo))
+                    v = x * m
+                    for e in es:
+                        nums[e - lo] += v
+        return cls(lo, cap, {k: (den, nums) for k, nums in by_comp.items()})
 
     @classmethod
     def binomial_chain(cls, factors, cap):
@@ -310,8 +288,7 @@ class QSeries:
         components."""
         den, comps = 1, {0: [1] + [0] * (cap - 1)}
         for c, ps in factors:
-            parts = _parts(c)
-            m = lcm(*(d for _, _, d in parts))
+            parts, m = _parts(c), c.den
             for p in ps:
                 if p >= cap:
                     continue
@@ -320,11 +297,11 @@ class QSeries:
                     den *= m
                     for nums in comps.values():
                         nums[:] = map(m.__mul__, nums)
-                for j, num, d in parts:
+                for j, num, _ in parts:
                     for i, old in olds:
                         for k, s in _REDUCE[i + j]:
                             tgt = comps.get(k) or comps.setdefault(k, [0] * cap)
-                            mult = -s * num * (m // d)
+                            mult = -s * num
                             src = old if mult in (1, -1) else map(mult.__mul__, old)
                             tgt[p:] = map(sub if mult == -1 else add, tgt[p:], src)
         return cls(0, cap, {k: (den, nums) for k, nums in comps.items()})
@@ -343,20 +320,20 @@ class QSeries:
         if e < self.low or not self.comps:
             return CZERO
         i = e - self.low
-        cs = [Fraction(0)] * 8
-        for k, (d, nums) in self.comps.items():
-            if nums[i]:
-                cs[k] = Fraction(nums[i], d)
-        return Cyc24(cs)
+        return _cyc([(k, nums[i], d) for k, (d, nums) in self.comps.items() if nums[i]])
 
     def nonzero_items(self):
+        for e, parts in self._rows():
+            yield e, _cyc(parts)
+
+    def _rows(self):
+        """Sorted (grid exponent, [(k, numerator, denominator)]) for every
+        nonzero coefficient."""
         out = {}
         for k, (d, nums) in self.comps.items():
-            for i, v in enumerate(nums):
-                if v:
-                    out.setdefault(self.low + i, [Fraction(0)] * 8)[k] = Fraction(v, d)
-        for e in sorted(out):
-            yield e, Cyc24(out[e])
+            for i in compress(range(len(nums)), nums):
+                out.setdefault(self.low + i, []).append((k, nums[i], d))
+        return sorted(out.items())
 
     def eq_to(self, other, order):
         """Coefficient-exact comparison through q^order (order in q-units).
@@ -532,8 +509,8 @@ class QSeries:
         if p <= 0:
             raise ValueError("div_binomial needs p > 0")
         c = const if isinstance(const, Cyc24) else Cyc24(const)
-        if c.is_rational() and c.as_rational().denominator == 1:
-            rn = c.as_rational().numerator
+        if c.den == 1 and c.is_rational():
+            rn = c.num[0]
             acc = {}
             n = self.cap - self.low
             for k, (d, nums) in self.comps.items():
@@ -699,8 +676,11 @@ class QSeries:
     def dump(self) -> str:
         """One nonzero coefficient per line: "e/24<TAB>c0 c1 ... c7"."""
         lines = []
-        for e, c in self.nonzero_items():
-            lines.append("%d/24\t%s" % (e, " ".join(str(x) for x in c.c)))
+        for e, parts in self._rows():
+            cs = ["0"] * 8
+            for k, v, d in parts:
+                cs[k] = _ratstr(v, d)
+            lines.append("%d/24\t%s" % (e, " ".join(cs)))
         return "\n".join(lines)
 
     def __repr__(self):

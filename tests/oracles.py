@@ -34,9 +34,12 @@ The exact kernel runs its hot producers on each series' lattice; these
 full-grid versions of them are the references:
 
 - `from_terms_per_term`: `QSeries.from_terms` splitting every term's
-  coefficient into rationals anew, without the per-object memo;
+  coefficient into rationals on its own, without grouping equal ones;
 - `pochhammer_inf_dense`: the binomial chain of `etatheta.pochhammer_inf`
   on the full 1/24 grid, one `mul_binomial` per factor;
+- `pochhammer_inf_chains` and `theta_Theta_chains`: a Pochhammer product
+  with several starts as one dense chain per start, multiplied with `*`,
+  against the single binomial chain of `pochhammer_inf`;
 - `pochhammer_fin_dense`: `etatheta.pochhammer_fin` as one `mul_binomial`
   per factor, against its in-place `QSeries.binomial_chain`;
 - `rln_f_lhs_per_term` and `rln_omega_lhs_per_term`: the left sides of the
@@ -47,7 +50,10 @@ full-grid versions of them are the references:
   over every grid slot, not only the residue classes that hold a nonzero;
 - `compose_power_loop`: q -> q^k one coefficient at a time;
 - `dissect_terms`: `QSeries.dissect` through `nonzero_items` and
-  `from_terms_per_term`.
+  `from_terms_per_term`;
+- `Cyc24Ref`: Q(zeta_24) as eight Fractions, products reduced mod Phi_24
+  term by term and inverses by the extended Euclidean algorithm over Q,
+  against the integer numerators of `Cyc24`.
 """
 
 import cmath
@@ -60,7 +66,7 @@ from scipy import integrate
 
 from mockq.cyclotomic import Cyc24, ONE
 from mockq.errors import ConvergenceError, GridError, NonInvertibleError
-from mockq.etatheta import Monomial, _grid_mult
+from mockq.etatheta import Monomial, _grid_mult, euler_E
 from mockq.numeric import _G012_HOOKS, _coerce, _gab_terms
 from mockq.qseries import QSeries
 
@@ -476,3 +482,118 @@ def dissect_terms(s, m, j) -> QSeries:
         if (e // 24) % m == j:
             terms.append((24 * ((e // 24 - j) // m), c))
     return from_terms_per_term(terms, new_cap)
+
+
+def pochhammer_inf_chains(starts, step, cap) -> QSeries:
+    """(a1, ..., ak; q^(step/24))_inf as one dense chain per start, each
+    built to the cap of the product so far and multiplied in with `*`."""
+    out = pochhammer_inf_dense(starts[0], step, cap)
+    for a in starts[1:]:
+        out = out * pochhammer_inf_dense(a, step, out.cap)
+    return out
+
+
+def theta_Theta_chains(z, m, cap) -> QSeries:
+    """Theta(z, q^m) = E(q^m) (z; q^m)_inf (z^-1 q^m; q^m)_inf, multiplying
+    in one dense chain per start."""
+    step = _grid_mult(m)
+    out = euler_E(m, cap)
+    for a in (z, Monomial(z.const.inverse(), step - z.pow)):
+        out = out * pochhammer_inf_dense(a, step, out.cap)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_24) on eight Fractions
+
+
+def _reduce_ref(e):
+    """x^e mod x^8 - x^4 + 1 as eight integer coefficients, by substituting
+    x^8 = x^4 - 1 until the degree is below 8."""
+    p = [0] * (e + 1)
+    p[e] = 1
+    for d in range(e, 7, -1):
+        if p[d]:
+            p[d - 4] += p[d]
+            p[d - 8] -= p[d]
+            p[d] = 0
+    return p[:8] + [0] * (8 - len(p[:8]))
+
+
+_REDUCE_REF = [_reduce_ref(e) for e in range(15)]
+_F0 = Fraction(0)
+
+
+def _ptrim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _pmul(a, b):
+    out = [_F0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ptrim(out)
+
+
+def _psub(a, b):
+    n = max(len(a), len(b))
+    return _ptrim([(a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0) for i in range(n)])
+
+
+def _pdivmod(a, b):
+    a, q = list(a), [_F0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        coef = a[i + len(b) - 1] / b[-1]
+        q[i] = coef
+        for j, y in enumerate(b):
+            a[i + j] -= coef * y
+    return _ptrim(q), _ptrim(a)
+
+
+class Cyc24Ref:
+    """c0 + c1*z + ... + c7*z^7 with eight Fraction coefficients."""
+
+    def __init__(self, coeffs):
+        self.c = tuple(Fraction(x) for x in coeffs)
+        assert len(self.c) == 8
+
+    def __add__(self, o):
+        return Cyc24Ref(a + b for a, b in zip(self.c, o.c))
+
+    def __sub__(self, o):
+        return Cyc24Ref(a - b for a, b in zip(self.c, o.c))
+
+    def __mul__(self, o):
+        out = [_F0] * 8
+        for i, a in enumerate(self.c):
+            for j, b in enumerate(o.c):
+                for k, s in enumerate(_REDUCE_REF[i + j]):
+                    out[k] += s * a * b
+        return Cyc24Ref(out)
+
+    def inverse(self):
+        """s with s*self = 1 mod Phi_24: extended Euclid over Q, run until
+        the remainder is zero; the last nonzero remainder is a constant."""
+        r0, r1 = [Fraction(v) for v in (1, 0, 0, 0, -1, 0, 0, 0, 1)], _ptrim(list(self.c))
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = _pdivmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _psub(s0, _pmul(q, s1))
+        assert len(r0) == 1
+        return Cyc24Ref([x / r0[0] for x in s0] + [_F0] * (8 - len(s0)))
+
+    def __eq__(self, o):
+        return self.c == o.c
+
+    def __hash__(self):
+        return hash(self.c)
+
+    def to_text(self):
+        return " + ".join(
+            str(x) if k == 0 else "%s*z" % x if k == 1 else "%s*z^%d" % (x, k)
+            for k, x in enumerate(self.c)
+        )

@@ -200,6 +200,27 @@ def lerch_chain(spec, cap):
     return QSeries.from_terms(terms, cap)
 
 
+_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    A=st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8),
+    B=_Q, C=_Q, D=_Q, E=_Q,
+    rho_qpow=st.integers(-30, 30),
+    cap=st.integers(-200, 3000),
+)
+def test_n_window_holds_every_contributing_term(A, B, C, D, E, rho_qpow, cap):
+    """Past N no term reaches below cap: its numerator exponent, and its
+    numerator less a negative denominator exponent, are both >= cap."""
+    spec = LerchSpec(A=A, B=B, C=C, rho_qpow=rho_qpow, D=D, E=E)
+    N = _n_window(spec, cap)
+    for n in [m for k in range(N + 1, 3 * N + 20) for m in (k, -k)]:
+        e0 = 24 * (A * n * n + B * n + C) + rho_qpow * n
+        p = 24 * (D * n + E)
+        assert e0 >= cap and e0 - min(p, 0) >= cap
+
+
 # (c, its order as a root of unity) with c = zeta_24^k of order 24/gcd(k, 24)
 _ROOTS = [(ONE, 1), (Cyc24(-1), 2), (zeta_pow(8), 3), (zeta_pow(6), 4),
           (zeta_pow(3), 8), (zeta_pow(5), 24)]
@@ -240,3 +261,29 @@ def test_lerch_pole_at_c_one_stays():
     # the same p == 0 term with c != 1 is a finite constant
     spec = LerchSpec(A=Fraction(1, 2), B=Fraction(1, 2), c_const=zeta_pow(8), D=1, E=0)
     assert lerch_expand(spec, 240).dump() == lerch_chain(spec, 240).dump()
+
+
+# ---------------------------------------------------------------------------
+# the kernel's constants stay on integers
+
+
+def test_pentagonal_lerch_expand_and_a_root_product_make_no_fraction(monkeypatch):
+    """Cyc24 holds integer numerators over one denominator, so neither the
+    pentagonal series of euler_E nor a product of roots of unity builds a
+    Fraction on the way."""
+    spec = LerchSpec(A=Fraction(3, 2), B=Fraction(-1, 2), c_const=0)
+    a, b = zeta_pow(5), zeta_pow(9)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    series = lerch_expand(spec, 14400)
+    prod = a * b
+    monkeypatch.undo()
+    assert made == []
+    assert prod == zeta_pow(14)
+    assert series.coeff(0) == ONE and series.coeff(24) == -ONE and series.coeff(5 * 24) == ONE

@@ -1,15 +1,19 @@
 """The lattice-compressed and in-place producers of the exact kernel against
 their references in `oracles`: pochhammer_inf, pochhammer_fin, inv,
 div_binomial, dissect, compose_power and from_terms must give the same
-series, `low` and `cap` included."""
+series, `low` and `cap` included.  A Pochhammer product with several starts
+is one binomial chain; it must equal the product of one chain per start
+wherever both are known."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mockq.cyclotomic import Cyc24, zeta_pow
-from mockq.etatheta import Monomial, pochhammer_fin, pochhammer_inf
+from mockq.cyclotomic import ONE, Cyc24, zeta_pow
+from mockq.etatheta import Monomial, pochhammer_fin, pochhammer_inf, theta_Theta
 from mockq.qseries import QSeries
+from mockq.registry import _CRANK_BATTERY, _JTP_BATTERY, _THETAID_BATTERY, _z_monomial
 from oracles import (
     compose_power_loop,
     dissect_terms,
@@ -17,7 +21,9 @@ from oracles import (
     from_terms_per_term,
     inv_full_grid,
     pochhammer_fin_dense,
+    pochhammer_inf_chains,
     pochhammer_inf_dense,
+    theta_Theta_chains,
 )
 
 
@@ -77,6 +83,83 @@ def test_pochhammer_fin_matches_one_mul_binomial_per_factor(const, pow_, step, n
     # factor exponents pow_ + k*step run through negative, zero and positive
     a = Monomial(const, pow_)
     assert same(pochhammer_fin(a, step, n, cap), pochhammer_fin_dense(a, step, n, cap))
+
+
+def neg_total(starts, exps):
+    """The total of the negative factor exponents of all starts: a product
+    of one chain per start built to cap + len(starts)*neg_total is still
+    exact below cap."""
+    return -sum(e for a in starts for e in exps(a) if e < 0)
+
+
+_STARTS = st.lists(
+    st.tuples(st.one_of(_ROOT, _SMALL_RATIONAL), st.integers(-72, 150)), min_size=1, max_size=3
+).map(lambda zs: tuple(Monomial(c, p) for c, p in zs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(starts=_STARTS, step=st.sampled_from([6, 8, 12, 24, 48, 72]), cap=st.integers(1, 600))
+@example(starts=(Monomial(ONE, 0), Monomial(zeta_pow(5), -30)), step=24, cap=300)  # 1 - 1 = 0
+@example(starts=(Monomial(zeta_pow(1), 36), Monomial(zeta_pow(23), 12)), step=48, cap=500)
+@example(starts=(Monomial(zeta_pow(9), 100), Monomial(Cyc24(-2), 0)), step=24, cap=400)
+@example(starts=(Monomial(zeta_pow(3), -50), Monomial(zeta_pow(8), -20)), step=12, cap=300)
+def test_multi_start_pochhammer_inf_is_the_product_of_one_chain_per_start(starts, step, cap):
+    """Negative pows, pows past the step, pow 0, roots of unity and
+    rationals; one chain is exact to the whole cap."""
+    extra = len(starts) * neg_total(starts, lambda a: range(a.pow, 0, step))
+    got = pochhammer_inf(starts, step, cap)
+    assert same(got, pochhammer_inf_chains(starts, step, cap + extra).truncate(cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    starts=_STARTS,
+    step=st.sampled_from([-24, 0, 12, 24, 48]),
+    n=st.integers(0, 6),
+    cap=st.integers(1, 400),
+)
+def test_multi_start_pochhammer_fin_is_the_product_of_one_chain_per_start(starts, step, n, cap):
+    work = cap + len(starts) * neg_total(starts, lambda a: [a.pow + k * step for k in range(n)])
+    want = pochhammer_fin_dense(starts[0], step, n, work)
+    for a in starts[1:]:
+        want = want * pochhammer_fin_dense(a, step, n, want.cap)
+    assert same(pochhammer_fin(starts, step, n, cap), want.truncate(cap))
+
+
+_THETA_CAP = 24 * 100 + 120  # the JTP and THETAID records' cap on the catalog workload
+
+
+def _theta_args():
+    """Each battery z as given, and every theta_Theta argument that
+    jtp_product and thetaid_pair build from it."""
+    out = []
+    for k, p in _JTP_BATTERY:
+        z = _z_monomial((k, p))
+        out += [("jtp", z), ("jtp", Monomial(z.const, 24 + z.pow))]
+    for k, p in _THETAID_BATTERY:
+        z = _z_monomial((k, p))
+        out += [("thetaid", z), ("thetaid", Monomial(-z.const, z.pow + 24)), ("thetaid", Monomial(-z.const, z.pow))]
+    return out
+
+
+@pytest.mark.parametrize("battery,z", _theta_args())
+def test_theta_Theta_matches_two_chains_and_a_product(battery, z):
+    got = theta_Theta(z, 2, _THETA_CAP)
+    if 0 <= z.pow <= 48:
+        assert same(got, theta_Theta_chains(z, 2, _THETA_CAP))
+    else:
+        # a negative low cost the old construction precision, so the
+        # reference is built further out; one chain keeps the whole cap
+        extra = 2 * (abs(z.pow) + 48)
+        assert same(got, theta_Theta_chains(z, 2, _THETA_CAP + extra).truncate(_THETA_CAP))
+
+
+@pytest.mark.parametrize("zk,m", _CRANK_BATTERY)
+def test_crank_denominator_matches_two_chains_and_a_product(zk, m):
+    z, g = _z_monomial(zk), 24 * m
+    work = 24 * 100 + 120 + 2 * abs(z.pow) + 2 * g  # crank_pair's working cap on the catalog workload
+    starts = (Monomial(z.const, z.pow + g), Monomial(z.const.inverse(), g - z.pow))
+    assert same(pochhammer_inf(starts, g, work), pochhammer_inf_chains(starts, g, work))
 
 
 # integer-exponent series in several components: (whole exponent t,
@@ -180,13 +263,16 @@ _COEFF = st.one_of(
     picks=st.lists(st.tuples(st.integers(-20, 140), st.integers(0, 4)), max_size=40),
     cap=st.integers(-10, 120),
 )
+@example(
+    pool=[Cyc24(Fraction(1, 2)), _basis(3, Fraction(2, 7)), 3], picks=[(0, 0), (0, 1), (5, 0), (5, 2)], cap=50
+)
 def test_from_terms_matches_the_per_term_split(pool, picks, cap):
     """The same coefficient objects repeat across terms, plain ints mix with
-    Cyc24 values, and some terms sit at or past cap."""
+    Cyc24 values, denominators differ, and some terms sit at or past cap."""
     terms = [(e, pool[i % len(pool)]) for e, i in picks]
     want = from_terms_per_term(terms, cap)
     assert same(QSeries.from_terms(terms, cap), want)
     # a generator that builds a fresh object per term, each dropped before
-    # the next is made: the memo must not mistake a reused id for a hit
+    # the next is made: equal values are grouped by value, not by identity
     fresh = ((e, Cyc24(c)) for e, c in terms)
     assert same(QSeries.from_terms(fresh, cap), want)
