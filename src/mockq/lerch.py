@@ -44,7 +44,8 @@ class LerchSpec:
 
     def __post_init__(self):
         for f in "ABCDE":
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
+            if type(getattr(self, f)) is not Fraction:
+                object.__setattr__(self, f, Fraction(getattr(self, f)))
         for f in ("rho_const", "c_const"):
             if not isinstance(getattr(self, f), Cyc24):
                 object.__setattr__(self, f, Cyc24(getattr(self, f)))
@@ -52,13 +53,17 @@ class LerchSpec:
             raise ValueError("lerch spec needs A > 0")
         if self.global_sign not in (1, -1):
             raise ValueError("global_sign must be +-1")
-        # the grid exponents as integer polynomials in n over one denominator
-        a, b, c = 24 * self.A, 24 * self.B + self.rho_qpow, 24 * self.C
-        den = lcm(a.denominator, b.denominator, c.denominator)
-        object.__setattr__(self, "_num", (int(a * den), int(b * den), int(c * den), den))
-        d, e = 24 * self.D, 24 * self.E
-        den = lcm(d.denominator, e.denominator)
-        object.__setattr__(self, "_den", (int(d * den), int(e * den), den))
+        # the grid exponents as integer polynomials in n over one denominator;
+        # 24*p/r in lowest terms has the denominator r/gcd(24, r), and adding
+        # the integer rho_qpow keeps it
+        (an, ad), (bn, bd), (cn, cd), (dn, dd), (en, ed) = (
+            (x.numerator, x.denominator) for x in (self.A, self.B, self.C, self.D, self.E)
+        )
+        den = lcm(ad // gcd(24, ad), bd // gcd(24, bd), cd // gcd(24, cd))
+        num = (24 * an * den // ad, (24 * bn + self.rho_qpow * bd) * den // bd, 24 * cn * den // cd)
+        object.__setattr__(self, "_num", (*num, den))
+        den = lcm(dd // gcd(24, dd), ed // gcd(24, ed))
+        object.__setattr__(self, "_den", (24 * dn * den // dd, 24 * en * den // ed, den))
 
     # the constant multiplying term n, (+-rho_const)^n
     def _base(self) -> Cyc24:
@@ -169,7 +174,7 @@ def lerch_expand(spec: LerchSpec, cap: int, residue=None) -> QSeries:
 def crank_pair(z: Monomial, cap: int, qmult: int = 1):
     """Both sides of E(Q)/((zQ; Q)(z^-1 Q; Q)) =
     (1-z)/E(Q) * sum (-1)^n Q^(n(n+1)/2)/(1 - z Q^n) with Q = q^qmult."""
-    from .etatheta import Monomial, euler_E, pochhammer_inf
+    from .etatheta import Monomial, euler_E, euler_E_inv, pochhammer_inf
 
     g = 24 * qmult
     work = cap + 2 * abs(z.pow) + 2 * g
@@ -180,7 +185,7 @@ def crank_pair(z: Monomial, cap: int, qmult: int = 1):
     m = Fraction(qmult)
     spec = LerchSpec(A=m / 2, B=m / 2, c_const=z.const, D=m, E=Fraction(z.pow, 24))
     rhs = lerch_expand(spec, work)
-    rhs = rhs * euler_E(qmult, work).inv()
+    rhs = rhs * euler_E_inv(qmult, work)
     if z.pow:
         rhs = rhs.mul_binomial(z.const, z.pow)
     else:
@@ -198,9 +203,15 @@ def thetaid_pair(z: Monomial, cap: int):
       = Theta(z,q^2) Theta(-zq,q^2) Theta_3(q) / Theta(-z,q^2).
 
     The LHS uses (1-w)/(1+w) = -1 + 2/(1+w) and runs through lerch_expand.
+    Theta(-z, q^2) is checked first: where it vanishes (z = -q^(2k)) the
+    LHS has a pole too.
     """
     from .etatheta import Monomial, theta3, theta_Theta, theta_sum
 
+    work = cap + 4 * abs(z.pow) + 96
+    bot = theta_Theta(Monomial(-z.const, z.pow), 2, work)
+    if bot.is_zero():
+        raise ThetaVanishesError("Theta(-z, q^2) vanishes at this z")
     spec = LerchSpec(
         A=Fraction(1),
         rho_const=z.const,
@@ -209,14 +220,10 @@ def thetaid_pair(z: Monomial, cap: int):
         D=Fraction(2),
         E=Fraction(z.pow, 24),
     )
-    work = cap + 4 * abs(z.pow) + 96
     lhs = lerch_expand(spec, work).scale(2) - theta_sum(z, work)
     num = theta_Theta(z, 2, work)
     num = num * theta_Theta(Monomial(-z.const, z.pow + 24), 2, work)
     num = num * theta3(work)
-    bot = theta_Theta(Monomial(-z.const, z.pow), 2, work)
-    if bot.is_zero():
-        raise ThetaVanishesError("Theta(-z, q^2) vanishes at this z")
     rhs = num * bot.inv()
     return lhs.truncate(cap), rhs.truncate(cap)
 

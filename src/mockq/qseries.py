@@ -20,6 +20,9 @@ these arrays directly:
   signs through `_REDUCE`.
 - `from_terms` groups the exponents by coefficient value, so the cyclic
   tails of `lerch.lerch_expand` read each root of unity once.
+- `inv` inverts lead * A, for A one rational component with integer
+  coefficients and at most 150 nonzero slots, by the recurrence on A;
+  Newton iteration takes the rest.
 
 Storage stays on the full 1/24 grid, but the producers whose output sits on
 a coarser lattice g*Z run on every g-th slot and spread the result back
@@ -39,7 +42,7 @@ try:
 except ImportError:  # gmpy2 is optional; without it the kernel uses Python int
     _mpz = int
 
-from .cyclotomic import Cyc24, ZERO as CZERO, _REDUCE, _ratstr
+from .cyclotomic import Cyc24, ONE as CONE, ZERO as CZERO, _REDUCE, _ratstr
 from .errors import GridError, NonInvertibleError, PrecisionError
 
 __all__ = ["QSeries"]
@@ -210,6 +213,22 @@ def _first_diff(xs, ys):
     if xs == ys:
         return None
     return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
+def _unit_inverse(nz, length):
+    """The first `length` coefficients of 1/A for an integer series A with
+    A_0 = 1 and the other nonzero coefficients (i, A_i), i ascending:
+    B_0 = 1, B_m = -sum A_i B_(m-i)."""
+    out = [0] * length
+    out[0] = 1
+    for m in range(1, length):
+        s = 0
+        for i, v in nz:
+            if i > m:
+                break
+            s += v * out[m - i]
+        out[m] = -s
+    return out
 
 
 class QSeries:
@@ -531,47 +550,58 @@ class QSeries:
         return self * QSeries.from_terms(terms, geo_len)
 
     def inv(self):
-        """Multiplicative inverse; result low = -self.low."""
+        """Multiplicative inverse; result low = -self.low.
+
+        With a = self moved to low 0 and A = a/lead: where A is one rational
+        component with integer coefficients and at most 150 nonzero slots,
+        B = 1/A follows from B_m = -sum_(i>0) A_i B_(m-i) on one integer
+        array over the lattice g*Z of A's support, and 1/self = B/lead.
+        Newton iteration takes every other series.
+        """
         if self.is_zero() or self.low >= self.cap:
             raise NonInvertibleError("cannot invert a series that is zero to its cap")
         a = self.shift(-self.low)
         lead = a.coeff(0)
         if not lead:
             raise NonInvertibleError("leading coefficient is zero")
-        n = a.cap
-        # fast path: single rational component with unit integer leading coeff
-        if set(a.comps) == {0}:
-            d, nums = a.comps[0]
-            support = list(compress(range(n), nums))
-            if nums[0] in (1, -1) and len(support) <= 150:
-                # the inverse lives on the lattice g*Z of the support, so the
-                # recurrence runs on every g-th slot only
-                g = gcd(*support) or n
-                xs = nums[::g]
-                out = [0] * len(xs)
-                s0 = nums[0]
-                out[0] = s0
-                nz = [(i, v) for i, v in enumerate(xs) if v and i > 0]
-                for m in range(1, len(xs)):
-                    s = 0
-                    for i, v in nz:
-                        if i > m:
-                            break
-                        s += v * out[m - i]
-                    out[m] = -s0 * s
-                # self = (1/d) * nums-series  =>  inverse = d * inv(nums-series)
-                out = _spread([d * v for v in out], g, n)
-                return QSeries(0, n, {0: (1, out)}).shift(-self.low)
-        # Newton iteration: b <- b + b*(1 - a*b), doubling precision
-        b = QSeries.monomial(lead.inverse(), 0, 1)
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            at = a.truncate(prec)
-            bp = b._as_poly(prec)
-            err = QSeries.one(prec) - at * bp
-            b = (bp + bp * err).truncate(prec)
+        b = a._inv_recurrence(lead)
+        if b is None:
+            # Newton iteration: b <- b + b*(1 - a*b), doubling precision
+            b = QSeries.monomial(lead.inverse(), 0, 1)
+            prec = 1
+            while prec < a.cap:
+                prec = min(2 * prec, a.cap)
+                at = a.truncate(prec)
+                bp = b._as_poly(prec)
+                err = QSeries.one(prec) - at * bp
+                b = (bp + bp * err).truncate(prec)
         return b.shift(-self.low)
+
+    def _inv_recurrence(self, lead):
+        """1/self for self at low 0 with the given lead, or None where A =
+        self/lead has several components or a fractional coefficient, or the
+        support has more than 150 nonzero slots."""
+        n = self.cap
+        if set(self.comps) == {0}:
+            d, nums = self.comps[0]
+            support = list(compress(range(n), nums))
+            s0 = nums[0]
+            if len(support) > 150 or (s0 not in (1, -1) and any(nums[i] % s0 for i in support)):
+                return None
+            # self = (s0/d) * A, so 1/self = (d/s0) * B on A's lattice g*Z
+            g = gcd(*support) or n
+            xs = nums[::g]
+            nz = [(i, v // s0) for i, v in enumerate(xs) if v and i > 0]
+            mult = d if s0 > 0 else -d
+            out = [mult * v for v in _unit_inverse(nz, len(xs))]
+            return QSeries(0, n, {0: (abs(s0), _spread(out, g, n))})
+        # a lead outside Q: A = self/lead must be one rational component
+        r = lead.inverse()
+        A = self.scale(r)
+        if set(A.comps) != {0}:
+            return None
+        b = A._inv_recurrence(CONE)
+        return None if b is None else b.scale(r)
 
     def __pow__(self, k: int):
         if k < 0:

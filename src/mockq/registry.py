@@ -1,5 +1,11 @@
 """Declarative catalog of every coefficient-exact identity the package can
 verify, with builders for both sides and a batch driver producing reports.
+
+Some sides are built by two records at one cap: the NEWOMEGA right side
+(NEWOMEGA and NEWOMEGA2_FROM_TWIST), the NEWOMEGA2 right side (NEWOMEGA2
+and NEWOMEGA2_FROM_TWIST) and omega(-q^(1/2)) (OMEGA_HALF_SPLIT and
+H2_MU_REP).  Each is built once per cap into a bounded `lru_cache`, as the
+dissection pieces are; the series are shared and never mutated.
 """
 
 from __future__ import annotations
@@ -7,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cyclotomic import Cyc24, exp_pi_i, zeta_pow
 from .dissect import (
@@ -101,6 +107,7 @@ def _f_q3(cap):
     return f_eulerian((cap + 71) // 3 + 1).compose_power(3).truncate(cap)
 
 
+@lru_cache(maxsize=2)
 def _omega_minus_sqrt_q(cap):
     """omega(-q^(1/2)), exact to cap."""
     return omega_eulerian(2 * cap + 48).twist_minus_q().compose_power(_F(1, 2)).truncate(cap)
@@ -117,6 +124,7 @@ def _omega_q3_shifted(cap):
     return w.shift(48).scale(2).truncate(cap)
 
 
+@lru_cache(maxsize=2)
 def _newomega_rhs(cap):
     etaq = eta_quotient(NEWOMEGA_ETA, cap)
     spec = LerchSpec(A=1, B=1, rho_const=zeta_pow(8), c_const=-1, D=2, E=1)
@@ -132,6 +140,7 @@ def _b_newomega(cap):
     return [(_omega_mq3_shifted(cap), _newomega_rhs(cap))]
 
 
+@lru_cache(maxsize=2)
 def _newomega2_rhs(cap):
     etaq = eta_quotient(NEWOMEGA2_ETA, cap)
     spec = LerchSpec(A=1, B=1, rho_const=zeta_pow(16), c_const=zeta_pow(8), D=2, E=1)

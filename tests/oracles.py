@@ -45,12 +45,19 @@ full-grid versions of them are the references:
 - `rln_f_lhs_per_term` and `rln_omega_lhs_per_term`: the left sides of the
   RLN_F and RLN_OMEGA records with each term's Pochhammer products built and
   inverted anew, against the running-term recurrences of their builders;
-- `inv_full_grid`: `QSeries.inv` with its recurrence over every grid slot;
+- `inv_full_grid`: 1/s by the unit-lead recurrence over every grid slot for
+  one rational component with lead +-1, and by Newton iteration for every
+  other series, against the lattice recurrence of `QSeries.inv`, which
+  also takes a lead times one rational component with integer
+  coefficients;
 - `div_binomial_full_grid`: the integer recurrence of `QSeries.div_binomial`
   over every grid slot, not only the residue classes that hold a nonzero;
 - `compose_power_loop`: q -> q^k one coefficient at a time;
 - `dissect_terms`: `QSeries.dissect` through `nonzero_items` and
   `from_terms_per_term`;
+- `lerch_exponents_fraction`: the integer exponent polynomials of a
+  `LerchSpec` by `Fraction` arithmetic, against the integer bookkeeping of
+  `LerchSpec.__post_init__`;
 - `Cyc24Ref`: Q(zeta_24) as eight Fractions, products reduced mod Phi_24
   term by term and inverses by the extended Euclidean algorithm over Q,
   against the integer numerators of `Cyc24`.
@@ -438,6 +445,19 @@ def inv_full_grid(s) -> QSeries:
         bp = b._as_poly(prec)
         b = (bp + bp * (QSeries.one(prec) - a.truncate(prec) * bp)).truncate(prec)
     return b.shift(-s.low)
+
+
+def lerch_exponents_fraction(spec):
+    """(_num, _den) of a LerchSpec by Fraction arithmetic: 24*(A n^2 + B n
+    + C) + rho_qpow*n and 24*(D n + E) as integer polynomials in n over the
+    least common denominator of their coefficients."""
+    A, B, C, D, E = (Fraction(x) for x in (spec.A, spec.B, spec.C, spec.D, spec.E))
+    a, b, c = 24 * A, 24 * B + spec.rho_qpow, 24 * C
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    num = (int(a * den), int(b * den), int(c * den), den)
+    d, e = 24 * D, 24 * E
+    den = lcm(d.denominator, e.denominator)
+    return num, (int(d * den), int(e * den), den)
 
 
 def div_binomial_full_grid(s, const, p) -> QSeries:

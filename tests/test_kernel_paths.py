@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mockq.cyclotomic import Cyc24, ONE, zeta_pow
 from mockq.errors import PoleError, PrecisionError
 from mockq.lerch import LerchSpec, _n_window, _root_order, lerch_expand
 from mockq.qseries import QSeries, _conv
+from oracles import lerch_exponents_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,34 @@ def test_n_window_holds_every_contributing_term(A, B, C, D, E, rho_qpow, cap):
         e0 = 24 * (A * n * n + B * n + C) + rho_qpow * n
         p = 24 * (D * n + E)
         assert e0 >= cap and e0 - min(p, 0) >= cap
+
+
+_EXPONENT = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=144),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    A=st.one_of(
+        st.integers(1, 50),
+        st.fractions(min_value=Fraction(1, 144), max_value=50, max_denominator=144),
+    ),
+    B=_EXPONENT, C=_EXPONENT, D=_EXPONENT, E=_EXPONENT,
+    rho_qpow=st.integers(-100, 100),
+)
+@example(A=Fraction(72, 48), B=Fraction(-24, 48), C=0, D=0, E=0, rho_qpow=0)
+@example(A=Fraction(1, 48), B=Fraction(5, 7), C=Fraction(-1, 16), D=Fraction(1, 36),
+         E=Fraction(7, 5), rho_qpow=-13)
+def test_lerch_exponents_match_the_fraction_bookkeeping(A, B, C, D, E, rho_qpow):
+    """The integer numerators and denominators of LerchSpec.__post_init__
+    give the same (_num, _den) as the same bookkeeping in Fractions, for
+    denominators that divide 24, share a factor with it or are prime to it,
+    and for int and Fraction fields alike."""
+    spec = LerchSpec(A=A, B=B, C=C, rho_qpow=rho_qpow, D=D, E=E)
+    assert (spec._num, spec._den) == lerch_exponents_fraction(spec)
+    assert all(type(getattr(spec, f)) is Fraction for f in "ABCDE")
 
 
 # (c, its order as a root of unity) with c = zeta_24^k of order 24/gcd(k, 24)

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from mockq.cyclotomic import Cyc24, ONE, exp_pi_i, zeta_pow
-from mockq.errors import GridError, PoleError
+from mockq.errors import GridError, PoleError, ThetaVanishesError
 from mockq.etatheta import Monomial, euler_E, theta3, theta_sum, vartheta_onethird
-from mockq.lerch import LerchSpec, lerch_expand, mu_formal
+from mockq.lerch import LerchSpec, crank_pair, lerch_expand, mu_formal, thetaid_pair
 from mockq.numeric import mu_num, qseries_eval
 from mockq.qseries import QSeries
 
@@ -213,3 +213,31 @@ def test_mu_formal_swap_symmetry():
 def test_mu_formal_grid_check():
     with pytest.raises(GridError):
         mu_formal((Fraction(1, 5), 0), (1, 0), 1, 240)
+
+
+# ---------------------------------------------------------------------------
+# a theta or product denominator that vanishes identically raises, before
+# any series is inverted
+
+
+@pytest.mark.parametrize("v", [(0, 0), (0, 1), (3, 0), (-3, 1)])
+def test_mu_formal_raises_where_vartheta_vanishes(v):
+    """vartheta(v; 3 tau) vanishes on v in Z + 3 tau Z."""
+    with pytest.raises(ThetaVanishesError):
+        mu_formal((1, 0), v, 3, 240)
+
+
+@pytest.mark.parametrize("pow_", [0, 48, -48])
+def test_thetaid_pair_raises_where_theta_minus_z_vanishes(pow_):
+    """Theta(-z, q^2) vanishes identically at z = -q^(2k); the left side's
+    denominator 1 + z q^(2n) then also vanishes at n = -k, and the product
+    side's error is the one raised."""
+    with pytest.raises(ThetaVanishesError):
+        thetaid_pair(Monomial.make(-1, pow_), 240)
+
+
+@pytest.mark.parametrize("z,qmult", [((1, -24), 1), ((1, 24), 1), ((1, -48), 2), ((1, 72), 3)])
+def test_crank_pair_raises_on_a_vanishing_product_side(z, qmult):
+    """(zQ; Q)(z^-1 Q; Q) vanishes at z = Q^(-1) and z = Q."""
+    with pytest.raises(PoleError, match="crank product side vanishes"):
+        crank_pair(Monomial.make(*z), 240, qmult)
