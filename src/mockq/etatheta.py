@@ -2,10 +2,10 @@
 Pochhammer and Jacobi triple products, and theta functions, on the 1/24 grid.
 
 Every bilateral series here is a Lerch sum with no denominator (c_const = 0)
-expanded by lerch.lerch_expand: E(q) from the pentagonal-number series, the
-theta sums and vartheta_onethird.  A Pochhammer product (a1, ..., ak; Q),
-such as the two of a Theta, is one QSeries.binomial_chain over every
-factor of every start, multiplied out in place on integer arrays.
+expanded by lerch.lerch_expand: E(q) from the pentagonal-number series,
+every theta series as a Theta, by its triple product sum, and
+vartheta_onethird.  A Pochhammer product (a1, ..., ak; Q) is one
+QSeries.binomial_chain, multiplied out in place on integer arrays.
 """
 
 from __future__ import annotations
@@ -176,27 +176,27 @@ def _chain(exps, cap) -> QSeries:
 
 
 def jtp_product(z: Monomial, cap):
-    """Both sides of (q^2, qz, q/z; q^2)_inf = sum (-1)^n z^n q^(n^2)."""
-    lhs = theta_Theta(Monomial(z.const, 24 + z.pow), 2, cap)
-    return lhs.truncate(cap), theta_sum(z, lhs.cap).truncate(cap)
+    """Both sides of (q^2, qz, q/z; q^2)_inf = sum (-1)^n z^n q^(n^2); the
+    product is never built from the sum."""
+    prod = pochhammer_inf((Monomial(z.const, 24 + z.pow), Monomial(z.const.inverse(), 24 - z.pow)), 48, cap)
+    return euler_E(2, cap - min(0, prod.low)) * prod, theta_sum(z, cap)
 
 
 def theta_sum(z: Monomial, cap) -> QSeries:
-    """sum_{n in Z} (-1)^n z^n q^(n^2)."""
-    return lerch_expand(LerchSpec(A=1, rho_const=z.const, rho_qpow=z.pow, c_const=0), cap)
+    """sum_{n in Z} (-1)^n z^n q^(n^2) = Theta(zq, q^2)."""
+    return theta_Theta(Monomial(z.const, z.pow + 24), 2, cap)
 
 
 def theta_Theta(z: Monomial, m, cap) -> QSeries:
-    """Theta(z, q^m) = (z; q^m)(z^-1 q^m; q^m)(q^m; q^m)."""
-    step = _grid_mult(m)
-    prod = pochhammer_inf((z, Monomial(z.const.inverse(), step - z.pow)), step, cap)
-    return euler_E(m, cap - min(0, prod.low)) * prod
+    """Theta(z, Q) = (z; Q)(z^-1 Q; Q)(Q; Q), Q = q^m, by its triple
+    product sum: sum_{n in Z} (-1)^n z^n Q^(n(n-1)/2)."""
+    a = Fraction(_grid_mult(m), 48)
+    return lerch_expand(LerchSpec(A=a, B=-a, rho_const=z.const, rho_qpow=z.pow, c_const=0), cap)
 
 
 def theta3(cap, m=1) -> QSeries:
-    """Theta_3(q^m) = sum_{n in Z} q^(m n^2)."""
-    spec = LerchSpec(A=Fraction(_grid_mult(m), 24), global_sign=1, c_const=0)
-    return lerch_expand(spec, cap)
+    """Theta_3(q^m) = sum_{n in Z} q^(m n^2) = Theta(-q^m, q^(2m))."""
+    return theta_Theta(Monomial(-CONE, _grid_mult(m)), 2 * m, cap)
 
 
 def vartheta_onethird(cap):

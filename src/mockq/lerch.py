@@ -221,10 +221,7 @@ def thetaid_pair(z: Monomial, cap: int):
         E=Fraction(z.pow, 24),
     )
     lhs = lerch_expand(spec, work).scale(2) - theta_sum(z, work)
-    num = theta_Theta(z, 2, work)
-    num = num * theta_Theta(Monomial(-z.const, z.pow + 24), 2, work)
-    num = num * theta3(work)
-    rhs = num * bot.inv()
+    rhs = theta_Theta(z, 2, work) * theta_sum(Monomial(-z.const, z.pow), work) * theta3(work) * bot.inv()
     return lhs.truncate(cap), rhs.truncate(cap)
 
 
@@ -278,9 +275,8 @@ def mu_formal(u, v, tau_mult: int, cap: int) -> QSeries:
 
 
 def _vartheta_series(ap: Fraction, bp: Fraction, M: int, cap: int) -> QSeries:
-    """vartheta(a'*tau + b'; M*tau) by the triple product, on the q-grid:
-    -i Q^(1/8) zeta^(-1/2) prod (1-Q^n)(1-zeta Q^(n-1))(1-zeta^-1 Q^n),
-    Q = q^M, zeta = e^(2 pi i b') q^(a')."""
+    """vartheta(a'*tau + b'; M*tau) = -i Q^(1/8) zeta^(-1/2) Theta(zeta, Q),
+    Q = q^M, zeta = e^(2 pi i b') q^(a'), Theta by its triple product sum."""
     from .etatheta import Monomial, theta_Theta
 
     const = Cyc24(-1) * zeta_pow(6) * exp_pi_i(-bp)

@@ -39,7 +39,8 @@ full-grid versions of them are the references:
   on the full 1/24 grid, one `mul_binomial` per factor;
 - `pochhammer_inf_chains` and `theta_Theta_chains`: a Pochhammer product
   with several starts as one dense chain per start, multiplied with `*`,
-  against the single binomial chain of `pochhammer_inf`;
+  against the single binomial chain of `pochhammer_inf`, and Theta as that
+  product against the triple product sum of `theta_Theta`;
 - `pochhammer_fin_dense`: `etatheta.pochhammer_fin` as one `mul_binomial`
   per factor, against its in-place `QSeries.binomial_chain`;
 - `rln_f_lhs_per_term` and `rln_omega_lhs_per_term`: the left sides of the

@@ -3,7 +3,8 @@ their references in `oracles`: pochhammer_inf, pochhammer_fin, inv,
 div_binomial, dissect, compose_power and from_terms must give the same
 series, `low` and `cap` included.  A Pochhammer product with several starts
 is one binomial chain; it must equal the product of one chain per start
-wherever both are known."""
+wherever both are known.  theta_Theta, a triple product sum, must equal
+that product too."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mockq.cyclotomic import ONE, Cyc24, zeta_pow
-from mockq.etatheta import Monomial, pochhammer_fin, pochhammer_inf, theta_Theta
+from mockq.etatheta import Monomial, _grid_mult, pochhammer_fin, pochhammer_inf, theta_Theta
 from mockq.qseries import QSeries
 from mockq.registry import _CRANK_BATTERY, _JTP_BATTERY, _THETAID_BATTERY, _z_monomial
 from oracles import (
@@ -152,6 +153,35 @@ def test_theta_Theta_matches_two_chains_and_a_product(battery, z):
         # reference is built further out; one chain keeps the whole cap
         extra = 2 * (abs(z.pow) + 48)
         assert same(got, theta_Theta_chains(z, 2, _THETA_CAP + extra).truncate(_THETA_CAP))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(0, 23),
+    p=st.integers(-72, 72),
+    m=st.sampled_from([1, Fraction(3, 2), 2, 3, 6]),
+    cap=st.integers(1, 700),
+)
+@example(k=0, p=0, m=1, cap=240)
+@example(k=0, p=-48, m=1, cap=500)
+@example(k=0, p=72, m=3, cap=700)
+@example(k=0, p=-72, m=3, cap=333)
+@example(k=0, p=36, m=Fraction(3, 2), cap=600)
+@example(k=0, p=-144, m=6, cap=700)
+@example(k=0, p=144, m=6, cap=1)
+@example(k=0, p=-49, m=1, cap=1)
+def test_theta_Theta_sum_matches_the_dense_product(k, p, m, cap):
+    """The triple product sum of theta_Theta against E(q^m) times one dense
+    chain per start.  At z = q^(m j) a factor 1 - q^0 vanishes, and both
+    sides must be identically zero below cap."""
+    z, step = Monomial(zeta_pow(k), p), _grid_mult(m)
+    got = theta_Theta(z, m, cap)
+    # each negative exponent of a start costs the dense product that much
+    # precision, at most twice, so the reference is built further out
+    extra = 2 * sum(-e for a in (p, step - p) for e in range(a, 0, step))
+    want = theta_Theta_chains(z, m, cap + extra).truncate(cap)
+    assert same(got, want)
+    assert got.is_zero() == (k == 0 and p % step == 0)
 
 
 @pytest.mark.parametrize("zk,m", _CRANK_BATTERY)
