@@ -10,6 +10,9 @@ numerators over one positive denominator, gcd-normalised, as a Cyc24 holds
 its own; most series live in component 0 alone.  The operations work on
 these arrays directly:
 
+- `_support` finds an array's lattice o + g*Z in C-level steps; `_conv`,
+  `div_binomial` and `_inv_recurrence` read it there.  `_norm_comp`,
+  `__init__` and `__neg__` also leave the 1/24 grid to `compress` and `map`.
 - `_conv` factors both supports onto their common lattice o + g*Z, then
   convolves by schoolbook or by Kronecker substitution (one big-integer
   product); series in q, q^2 or q^3 pack 24, 48 or 72 times fewer slots.
@@ -33,9 +36,9 @@ once (`_spread`): `inv`, `compose_power(k)` for integer k (`_stretched`),
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 from math import gcd, lcm, ceil
-from operator import add, sub
+from operator import add, neg, sub
 
 try:
     from gmpy2 import mpz as _mpz
@@ -48,6 +51,7 @@ from .errors import GridError, NonInvertibleError, PrecisionError
 __all__ = ["QSeries"]
 
 _SPARSE_CUTOFF = 48
+_DIVISORS_24 = (24, 12, 8, 6, 4, 3, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +114,41 @@ def _conv_lattice(xs, ys, out_len):
     return _kron_conv(xs, ys, out_len)
 
 
+def _support(nums, n):
+    """(o, g): the first nonzero index of nums[:n] and the gcd of the
+    offsets of its nonzeros from o (0 for one nonzero); None if all zero.
+    The gcd is taken over the first slice nums[o::d], d | 24, that holds
+    every nonzero."""
+    if len(nums) > n:
+        nums = nums[:n]
+    nz = len(nums) - nums.count(0)
+    if not nz:
+        return None
+    o = next(compress(count(), nums))
+    for d in _DIVISORS_24:
+        sl = nums[o::d]
+        if len(sl) - sl.count(0) == nz:
+            return o, d * gcd(*compress(range(len(sl)), sl))
+
+
 def _conv(xs, ys, out_len):
     """First out_len coefficients of the Cauchy product of integer arrays.
 
-    The supports are factored onto their common lattice first: with ox, oy
-    the first nonzero indices and g the gcd of every support offset from
-    them, only xs[ox::g] and ys[oy::g] are convolved, and the result is
-    spread back onto ox + oy + g*Z.  Products of series in q^(1/24) that
-    live on q^1, q^2 or q^3 thus pack 24, 48 or 72 times fewer slots.
+    The supports are factored onto their common lattice first: with
+    (ox, gx), (oy, gy) from `_support` and g = gcd(gx, gy), only xs[ox::g]
+    and ys[oy::g] are convolved, and the result is spread back onto
+    ox + oy + g*Z.  Products of series in q^(1/24) that live on q^1, q^2 or
+    q^3 thus pack 24, 48 or 72 times fewer slots.
     """
     out = [0] * max(out_len, 0)
-    nzx = list(compress(range(min(len(xs), out_len)), xs))
-    nzy = list(compress(range(min(len(ys), out_len)), ys))
-    if not nzx or not nzy:
+    sx, sy = _support(xs, out_len), _support(ys, out_len)
+    if sx is None or sy is None:
         return out
-    ox, oy = nzx[0], nzy[0]
+    (ox, gx), (oy, gy) = sx, sy
     base = ox + oy
     if base >= out_len:
         return out
-    g = gcd(*map(ox.__rsub__, nzx), *map(oy.__rsub__, nzy)) or out_len
+    g = gcd(gx, gy) or out_len
     m = (out_len - base - 1) // g + 1
     out[base::g] = _conv_lattice(xs[ox:out_len:g], ys[oy:out_len:g], m)
     return out
@@ -141,17 +161,16 @@ def _conv(xs, ys, out_len):
 def _norm_comp(den, nums):
     """Reduce (den, nums) by the common gcd; None if identically zero."""
     g = 0
-    for v in nums:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
+    for v in compress(nums, nums):
+        g = gcd(g, v)
+        if g == 1:
+            break
     if g == 0:
         return None
     g = gcd(g, den)
     if g > 1:
         den //= g
-        nums = [v // g for v in nums]
+        nums = list(map(g.__rfloordiv__, nums))
     return (den, nums)
 
 
@@ -248,9 +267,7 @@ class QSeries:
         self.comps = comps
         # trim leading zeros so `low` points at an actually-nonzero coefficient
         if comps:
-            first = min(
-                next(i for i, v in enumerate(nums) if v) for _, nums in comps.values()
-            )
+            first = min(next(compress(count(), nums)) for _, nums in comps.values())
             if first:
                 low += first
                 self.comps = {k: (d, n[first:]) for k, (d, n) in comps.items()}
@@ -420,7 +437,7 @@ class QSeries:
         return QSeries(
             self.low,
             self.cap,
-            {k: (d, [-v for v in nums]) for k, (d, nums) in self.comps.items()},
+            {k: (d, list(map(neg, nums))) for k, (d, nums) in self.comps.items()},
             _trusted=True,
         )
 
@@ -523,8 +540,8 @@ class QSeries:
         """Divide by (1 - const*q^(p/24)) with p > 0: a recurrence on the
         integer numerators for an integer const, else a product with the
         geometric series.  The recurrence out[i] += const*out[i-p] never mixes
-        residue classes mod p, so it runs only on the classes that hold a
-        nonzero, each as one strided slice."""
+        residue classes mod p, so with the support on o + g*Z it runs only on
+        the classes r = o mod gcd(g, p), each as one strided slice."""
         if p <= 0:
             raise ValueError("div_binomial needs p > 0")
         c = const if isinstance(const, Cyc24) else Cyc24(const)
@@ -534,7 +551,9 @@ class QSeries:
             n = self.cap - self.low
             for k, (d, nums) in self.comps.items():
                 out = list(nums)
-                for r in {i % p for i in compress(range(n), nums)}:
+                o, g = _support(nums, n)
+                h = gcd(g, p)
+                for r in range(o % h, p, h):
                     out[r::p] = accumulate(out[r::p], lambda prev, v: v + rn * prev)
                 acc[k] = (d, out)
             return QSeries(self.low, self.cap, acc)
@@ -584,14 +603,16 @@ class QSeries:
         n = self.cap
         if set(self.comps) == {0}:
             d, nums = self.comps[0]
-            support = list(compress(range(n), nums))
-            s0 = nums[0]
-            if len(support) > 150 or (s0 not in (1, -1) and any(nums[i] % s0 for i in support)):
+            if n - nums.count(0) > 150:
                 return None
             # self = (s0/d) * A, so 1/self = (d/s0) * B on A's lattice g*Z
-            g = gcd(*support) or n
+            g = _support(nums, n)[1] or n
             xs = nums[::g]
-            nz = [(i, v // s0) for i, v in enumerate(xs) if v and i > 0]
+            support = list(compress(range(len(xs)), xs))
+            s0 = xs[0]
+            if s0 not in (1, -1) and any(xs[i] % s0 for i in support):
+                return None
+            nz = [(i, xs[i] // s0) for i in support[1:]]
             mult = d if s0 > 0 else -d
             out = [mult * v for v in _unit_inverse(nz, len(xs))]
             return QSeries(0, n, {0: (abs(s0), _spread(out, g, n))})
@@ -626,22 +647,22 @@ class QSeries:
             raise GridError("compose_power needs k > 0")
         if k.denominator == 1:
             return self._stretched(int(k))
+        # k = a/b keeps exponents b*t, slots r::b, and moves them to a*t
+        a, b = k.numerator, k.denominator
         new_low = ceil(self.low * k)
         new_cap = ceil(self.cap * k)
-        n = new_cap - new_low
+        r = -self.low % b
+        start = a * ((self.low + r) // b) - new_low
         comps = {}
         for comp, (d, nums) in self.comps.items():
-            out = [0] * n
-            for i, v in enumerate(nums):
-                if not v:
-                    continue
-                e2 = (self.low + i) * k
-                if e2.denominator != 1:
-                    raise GridError(
-                        "exponent %s/24 leaves the grid under q -> q^%s"
-                        % (self.low + i, k)
-                    )
-                out[int(e2) - new_low] = v
+            sl = nums[r::b]
+            if len(sl) - sl.count(0) != len(nums) - nums.count(0):
+                i = next(i for i in compress(range(len(nums)), nums) if (self.low + i) % b)
+                raise GridError(
+                    "exponent %s/24 leaves the grid under q -> q^%s" % (self.low + i, k)
+                )
+            out = [0] * (new_cap - new_low)
+            out[start::a] = sl
             comps[comp] = (d, out)
         return QSeries(new_low, new_cap, comps)
 

@@ -1,18 +1,21 @@
 """Oracles for the array paths of the exact kernel: the array eq_to against
-the coefficient-by-coefficient Cyc24 walk, the lattice-compressed _conv
-against a naive convolution, and the root-of-unity orbits of lerch_expand
-against the plain multiply chain."""
+the coefficient-by-coefficient Cyc24 walk, _support against compress and
+gcd, the lattice-compressed _conv against a naive convolution, and the
+root-of-unity orbits of lerch_expand against the plain multiply chain."""
 
 import random
 from fractions import Fraction
+from itertools import compress
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mockq.cyclotomic import Cyc24, ONE, zeta_pow
-from mockq.errors import PoleError, PrecisionError
+from mockq.errors import GridError, PoleError, PrecisionError
 from mockq.lerch import LerchSpec, _n_window, _root_order, lerch_expand
-from mockq.qseries import QSeries, _conv
+from mockq import qseries
+from mockq.qseries import QSeries, _conv, _support
 from oracles import lerch_exponents_fraction
 
 
@@ -162,6 +165,80 @@ def test_conv_single_terms_and_empty():
     assert _conv([0, 0, 5], [0, 7], 3) == [0, 0, 0]
     assert _conv([0, 0], [1], 3) == [0, 0, 0]
     assert _conv([1], [1], 0) == []
+
+
+# ---------------------------------------------------------------------------
+# _support, and _conv on strides outside 24*Z
+
+
+def support_naive(nums, n):
+    """(first nonzero index, gcd of the offsets from it) over nums[:n]."""
+    nz = list(compress(range(min(len(nums), n)), nums))
+    if not nz:
+        return None
+    return nz[0], gcd(*(i - nz[0] for i in nz))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stride=st.sampled_from([1, 5, 7, 24, 36, 288]),
+    offset=st.integers(0, 40),
+    picks=st.lists(st.integers(0, 30), max_size=12),
+    n=st.integers(0, 9000),
+    tail=st.lists(st.integers(0, 300), max_size=5),
+)
+@example(stride=5, offset=3, picks=[], n=200, tail=[])  # all zero
+@example(stride=7, offset=3, picks=[4], n=200, tail=[])  # one nonzero: stride 0
+@example(stride=5, offset=12, picks=[0, 3], n=12, tail=[])  # first nonzero at n
+@example(stride=36, offset=12, picks=[1, 3], n=5, tail=[])  # first nonzero past n
+@example(stride=288, offset=0, picks=[0, 2, 5], n=1000, tail=[1, 7])  # finer past n
+@example(stride=1, offset=0, picks=list(range(31)), n=31, tail=[0])  # dense
+def test_support_matches_compress_and_gcd(stride, offset, picks, n, tail):
+    """Supports on o + stride*Z, cut at n, with nonzeros at and past n on a
+    finer lattice that _support must not see."""
+    nums = [0] * (offset + 31 * stride)
+    for t in picks:
+        nums[offset + stride * t] = (-1) ** t * (t + 1)
+    if tail:
+        nums += [0] * max(0, n + 301 - len(nums))
+        for j in tail:
+            nums[n + j] = 3
+    got = _support(nums, n)
+    assert got == support_naive(nums, n)
+    if got is not None:
+        o, g = got
+        assert all(i == o if g == 0 else (i - o) % g == 0 for i in compress(range(n), nums))
+
+
+@pytest.mark.parametrize("g", [1, 5, 36, 288])
+def test_conv_strides_outside_24z_match_naive(g, monkeypatch):
+    """Strides finer than q, prime to 24 or coarser than q^3; operands longer
+    than out_len, some with nonzeros past it off the lattice.  Both the
+    schoolbook and the Kronecker path are taken."""
+    kron_calls = []
+    kron = qseries._kron_conv
+    monkeypatch.setattr(
+        qseries, "_kron_conv", lambda *a: kron_calls.append(1) or kron(*a)
+    )
+    rng = random.Random(1000 + g)
+    cases = 40
+    for case in range(cases):
+        count = rng.choice([3, 10, 60])
+        density = rng.choice([0.3, 1.0])
+        xs = _strided(rng, g, rng.randrange(0, 30), count, density)
+        ys = _strided(rng, rng.choice([g, 2 * g, 3 * g]), rng.randrange(0, 30), count, density)
+        out_len = rng.randrange(len(xs) // 2 + 1, len(xs) + len(ys))
+        if rng.random() < 0.5:
+            xs += [0] * max(0, out_len + 2 - len(xs))
+            xs[out_len + 1] = 7
+        assert _conv(xs, ys, out_len) == naive_conv(xs, ys, out_len), (g, case)
+    assert 0 < len(kron_calls) < cases
+
+
+def test_fractional_compose_power_names_the_first_off_grid_exponent():
+    a = QSeries.from_terms([(4, 1), (7, -3), (9, 2)], 60)
+    with pytest.raises(GridError, match=r"exponent 7/24 leaves the grid under q -> q\^1/2"):
+        a.compose_power(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
