@@ -14,7 +14,7 @@ import sys
 
 from .errors import MockqError
 from .numeric import CHECK_NAMES, NumericScene, SCENES, run_check
-from .registry import registry_catalog, verify, verify_all
+from .registry import registry_catalog, sides, verify, verify_all
 
 __all__ = ["main", "parse_tau"]
 
@@ -93,12 +93,8 @@ def _cmd_numeric(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    from .registry import _catalog_map
-
-    rec = _catalog_map()[args.id]
-    pairs = rec.builder(24 * args.order + 24)
-    side = pairs[0][0 if args.side == "lhs" else 1]
-    text = side.truncate(24 * args.order + 1).dump()
+    side = sides(args.id, args.order)[0][0 if args.side == "lhs" else 1]
+    text = side.dump()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -166,9 +162,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "order", None) is not None and args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except KeyError as exc:

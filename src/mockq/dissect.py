@@ -14,7 +14,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .cyclotomic import Cyc24, zeta_pow
-from .etatheta import e_product, euler_E, euler_E_inv
+from .etatheta import EtaQuotientSpec, e_product, euler_E, euler_E_inv
 from .lerch import LerchSpec, lerch_expand
 from .mocktheta import omega_watson
 from .qseries import QSeries
@@ -31,6 +31,11 @@ __all__ = [
     "zeta_bracket_sides",
     "newomega_assembly_constant",
 ]
+
+# -2i/sqrt(3), the constant of the NEWOMEGA and NEWOMEGA2 right sides
+MINUS_2I_OVER_SQRT3 = (Cyc24(2) - 4 * zeta_pow(4)) * Cyc24(Fraction(1, 3))
+# E(q)^2 E(q^4)^2/(E(q^2)^2 E(q^6)), the eta quotient of the NEWOMEGA right side
+NEWOMEGA_ETA = EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)])
 
 # the inner sum of mu(tau+1/2, 1/3; 2*tau) splits over n mod 3 as
 # Y_0 + zeta3*Y_1 + zeta3^2*Y_2 with this common summand shape
@@ -50,7 +55,7 @@ def e_quotients(cap):
 def eta3diss_sides(cap):
     """LHS E(q)^2 E(q^4)^2/(E(q^2)^2 E(q^6)) and its dissected RHS
     e0(q^3) - 2q e1(q^3) + q^2 e2(q^3)."""
-    lhs = e_product([(1, 2), (4, 2), (2, -2), (6, -1)], cap)
+    lhs = e_product(NEWOMEGA_ETA.factors, cap)
     e0, e1, e2 = e_quotients(cap)
     rhs = (
         e0.compose_power(3).truncate(cap)
@@ -149,5 +154,4 @@ def zeta_bracket_sides(cap):
 def newomega_assembly_constant() -> Cyc24:
     """The exact constant cancellation behind the assembly:
     -2i/sqrt(3) + (2/3)(1 + 2*zeta3) = 0; returns the (zero) residual."""
-    minus_2i_over_sqrt3 = (Cyc24(2) - 4 * zeta_pow(4)) * Cyc24(Fraction(1, 3))
-    return minus_2i_over_sqrt3 + (Cyc24(1) + 2 * zeta_pow(8)) * Cyc24(Fraction(2, 3))
+    return MINUS_2I_OVER_SQRT3 + (Cyc24(1) + 2 * zeta_pow(8)) * Cyc24(Fraction(2, 3))

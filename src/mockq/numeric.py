@@ -25,7 +25,7 @@ from itertools import compress, islice, repeat
 from operator import itemgetter, mul, sub, truediv
 
 from .errors import ConvergenceError, PoleError
-from .registry import MU_REPS, _catalog_map
+from .registry import MU_REPS, sides
 
 __all__ = [
     "NumericScene",
@@ -902,9 +902,7 @@ _CONSISTENCY_ORDER = 200
 @cache
 def _exact_sides(rec_id):
     """A record's first pair to q^_CONSISTENCY_ORDER, built once per process."""
-    lhs, rhs = _catalog_map()[rec_id].builder(24 * _CONSISTENCY_ORDER + 24)[0]
-    top = 24 * _CONSISTENCY_ORDER + 1
-    return lhs.truncate(top), rhs.truncate(top)
+    return sides(rec_id, _CONSISTENCY_ORDER)[0]
 
 
 def _consistency(rec_id, rep_id):

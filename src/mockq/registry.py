@@ -17,6 +17,8 @@ from functools import cached_property, lru_cache
 
 from .cyclotomic import Cyc24, exp_pi_i, zeta_pow
 from .dissect import (
+    MINUS_2I_OVER_SQRT3,
+    NEWOMEGA_ETA,
     e_quotients,
     eta3diss_sides,
     mudiss_sides,
@@ -25,7 +27,6 @@ from .dissect import (
     omega_minus_q_direct,
     zeta_bracket_sides,
 )
-from .errors import PrecisionError
 from .etatheta import (
     EtaQuotientSpec,
     Monomial,
@@ -45,17 +46,15 @@ from .mocktheta import (
 )
 from .qseries import QSeries
 
-__all__ = ["IdentityRecord", "MU_REPS", "MuRep", "VerifyReport", "registry_catalog", "verify",
-           "verify_all"]
+__all__ = ["IdentityRecord", "MU_REPS", "MuRep", "VerifyReport", "registry_catalog", "sides",
+           "verify", "verify_all"]
 
 _F = Fraction
-_MINUS_2I_OVER_SQRT3 = (Cyc24(2) - 4 * zeta_pow(4)) * Cyc24(_F(1, 3))
 _FOUR_OVER_SQRT3 = 4 * (2 * zeta_pow(2) - zeta_pow(6)).inverse()
 
-# eta quotients of the NEWOMEGA, NEWOMEGA2 and NEWF right sides and of the
-# omega(-q^(1/2)) split, shared with MU_REPS
+# eta quotients of the NEWOMEGA2 and NEWF right sides and of the
+# omega(-q^(1/2)) split, shared with MU_REPS (NEWOMEGA_ETA is dissect's)
 H2_ETA = EtaQuotientSpec([(6, 2), (_F(3, 2), 2), (3, -2), (1, -1)])
-NEWOMEGA_ETA = EtaQuotientSpec([(1, 2), (4, 2), (2, -2), (6, -1)])
 NEWOMEGA2_ETA = EtaQuotientSpec([(2, 4), (6, -1), (1, -2)])
 NEWF_ETA = EtaQuotientSpec([(1, 4), (3, -1), (2, -2)])
 
@@ -64,7 +63,7 @@ NEWF_ETA = EtaQuotientSpec([(1, 4), (3, -1), (2, -2)])
 class IdentityRecord:
     id: str
     description: str
-    builder: object  # cap -> list of (lhs, rhs) QSeries pairs
+    builder: object  # cap -> list of (lhs, rhs) QSeries pairs, each side exact to cap
     default_order: int = 200
 
 
@@ -113,15 +112,15 @@ def _omega_minus_sqrt_q(cap):
     return omega_eulerian(2 * cap + 48).twist_minus_q().compose_power(_F(1, 2)).truncate(cap)
 
 
-def _omega_mq3_shifted(cap):
-    """2 q^2 omega(-q^3), exact to cap."""
-    w = omega_eulerian((cap + 71) // 3 + 1).twist_minus_q().compose_power(3)
-    return w.shift(48).scale(2).truncate(cap)
-
-
 def _omega_q3_shifted(cap):
+    """2 q^2 omega(q^3), exact to cap."""
     w = omega_eulerian((cap + 71) // 3 + 1).compose_power(3)
     return w.shift(48).scale(2).truncate(cap)
+
+
+def _omega_mq3_shifted(cap):
+    """2 q^2 omega(-q^3), exact to cap."""
+    return _omega_q3_shifted(cap).twist_minus_q()
 
 
 @lru_cache(maxsize=2)
@@ -130,7 +129,7 @@ def _newomega_rhs(cap):
     spec = LerchSpec(A=1, B=1, rho_const=zeta_pow(8), c_const=-1, D=2, E=1)
     mus = lerch_expand(spec, cap) * euler_E_inv(6, cap)
     return (
-        QSeries.monomial(_MINUS_2I_OVER_SQRT3, 0, cap)
+        QSeries.monomial(MINUS_2I_OVER_SQRT3, 0, cap)
         - etaq.scale(_F(2, 3))
         + mus.scale(exp_pi_i(_F(1, 3)) * _F(4, 3)).truncate(cap)
     )
@@ -146,7 +145,7 @@ def _newomega2_rhs(cap):
     spec = LerchSpec(A=1, B=1, rho_const=zeta_pow(16), c_const=zeta_pow(8), D=2, E=1)
     mus = lerch_expand(spec, cap) * euler_E_inv(6, cap)
     return (
-        QSeries.monomial(_MINUS_2I_OVER_SQRT3, 0, cap)
+        QSeries.monomial(MINUS_2I_OVER_SQRT3, 0, cap)
         + etaq.scale(_F(2, 3))
         - mus.scale(exp_pi_i(_F(-1, 3)) * _F(4, 3)).truncate(cap)
     )
@@ -274,10 +273,9 @@ def _b_rln_omega(cap):
         term = term.div_binomial(1, 24 * (6 * n + 1)).div_binomial(1, 24 * (6 * n - 1))
         acc = acc + term
         n += 1
-    w3 = omega_eulerian((cap + 71) // 3 + 1).compose_power(3)
     rhs = (
         QSeries.one(cap)
-        + w3.shift(48).truncate(cap)
+        + _omega_q3_shifted(cap).scale(_F(1, 2))
         + e_product([(2, 4), (1, -2), (6, -1)], cap)  # psi(q)^2/E(q^6), psi = E(q^2)^2/E(q)
     ).scale(_F(1, 2))
     return [(acc, rhs)]
@@ -379,7 +377,7 @@ MU_REPS = (
         "NEWOMID",
         "rescaled identity: 2q^2 omega(q^3) from an eta-quotient and mu(t-2/3, -1/3; 2t)",
         _omega_q3_shifted, False,
-        const=_MINUS_2I_OVER_SQRT3, eta=NEWOMEGA2_ETA, eta_coef=_F(2, 3), eta_shift=0,
+        const=MINUS_2I_OVER_SQRT3, eta=NEWOMEGA2_ETA, eta_coef=_F(2, 3), eta_shift=0,
         mu_coef=-exp_pi_i(_F(1, 3)) * _FOUR_OVER_SQRT3, mu_shift=-6,
         u=(1, _F(-2, 3)), v=(0, _F(-1, 3)), M=2,
     ),
@@ -387,7 +385,7 @@ MU_REPS = (
         "NEWOMEGA_MU_FORM",
         "2q^2 omega(-q^3) from an eta-quotient and mu(t+1/2, 1/3; 2t)",
         _omega_mq3_shifted, False,
-        const=_MINUS_2I_OVER_SQRT3, eta=NEWOMEGA_ETA, eta_coef=_F(-2, 3), eta_shift=0,
+        const=MINUS_2I_OVER_SQRT3, eta=NEWOMEGA_ETA, eta_coef=_F(-2, 3), eta_shift=0,
         mu_coef=-exp_pi_i(_F(-1, 6)) * _FOUR_OVER_SQRT3, mu_shift=-6,
         u=(1, _F(1, 2)), v=(0, _F(1, 3)), M=2,
     ),
@@ -561,33 +559,37 @@ def _catalog_map():
     return _CATALOG
 
 
-def verify(rec_id: str, order=None) -> VerifyReport:
+def _record(rec_id):
     recs = _catalog_map()
     if rec_id not in recs:
         raise KeyError("unknown identity id %r" % rec_id)
-    rec = recs[rec_id]
-    order = rec.default_order if order is None else int(order)
+    return recs[rec_id]
+
+
+def sides(rec_id: str, order: int):
+    """The (lhs, rhs) pairs of record rec_id, each side exact to q^order.
+
+    Every builder returns sides exact to the cap it is asked for, so this
+    builds at cap 24*order + 1 with no margin; a side that fell short would
+    make `eq_to` raise `PrecisionError`.
+    """
+    if not isinstance(order, int) or order < 1:
+        raise ValueError("order must be an integer >= 1, got %r" % (order,))
+    return _record(rec_id).builder(24 * order + 1)
+
+
+def verify(rec_id: str, order=None) -> VerifyReport:
+    if order is None:
+        order = _record(rec_id).default_order
     t0 = time.monotonic()
-    margin = 120
-    for attempt in range(4):
-        cap = 24 * order + margin
-        try:
-            pairs = rec.builder(cap)
-            mismatch = None
-            for lhs, rhs in pairs:
-                ok, wit = lhs.eq_to(rhs, order)
-                if not ok:
-                    mismatch = wit
-                    break
-            ms = int(1000 * (time.monotonic() - t0))
-            return VerifyReport(
-                rec.id, "pass" if mismatch is None else "fail", order, mismatch, ms
-            )
-        except PrecisionError:
-            if attempt == 3:
-                raise
-            margin *= 2
-    raise AssertionError("unreachable")
+    mismatch = None
+    for lhs, rhs in sides(rec_id, order):
+        ok, wit = lhs.eq_to(rhs, order)
+        if not ok:
+            mismatch = wit
+            break
+    ms = int(1000 * (time.monotonic() - t0))
+    return VerifyReport(rec_id, "pass" if mismatch is None else "fail", order, mismatch, ms)
 
 
 def verify_all(order_override=None):

@@ -1,10 +1,10 @@
 """Pin every catalog side, bit for bit.
 
 Each record is built at half its default order (the `catalog` benchmark
-workload's order) with verify's first-attempt margin of 120 grid units, and
-every side's (id, low, cap) and `dump()` text are fed into one sha256.  A
-kernel change that keeps the mathematics but moves a single coefficient,
-`low` or `cap` changes the digest.
+workload's order) at cap 24*order + 120, past the 24*order + 1 that
+`registry.sides` asks for, and every side's (id, low, cap) and `dump()`
+text are fed into one sha256.  A kernel change that keeps the mathematics
+but moves a single coefficient, `low` or `cap` changes the digest.
 """
 
 import hashlib

@@ -127,7 +127,7 @@ def test_multi_start_pochhammer_fin_is_the_product_of_one_chain_per_start(starts
     assert same(pochhammer_fin(starts, step, n, cap), want.truncate(cap))
 
 
-_THETA_CAP = 24 * 100 + 120  # the JTP and THETAID records' cap on the catalog workload
+_THETA_CAP = 24 * 100 + 120  # the JTP and THETAID records' cap in the catalog digest
 
 
 def _theta_args():
@@ -187,7 +187,7 @@ def test_theta_Theta_sum_matches_the_dense_product(k, p, m, cap):
 @pytest.mark.parametrize("zk,m", _CRANK_BATTERY)
 def test_crank_denominator_matches_two_chains_and_a_product(zk, m):
     z, g = _z_monomial(zk), 24 * m
-    work = 24 * 100 + 120 + 2 * abs(z.pow) + 2 * g  # crank_pair's working cap on the catalog workload
+    work = 24 * 100 + 120 + 2 * abs(z.pow) + 2 * g  # crank_pair's working cap in the catalog digest
     starts = (Monomial(z.const, z.pow + g), Monomial(z.const.inverse(), g - z.pow))
     assert same(pochhammer_inf(starts, g, work), pochhammer_inf_chains(starts, g, work))
 

@@ -18,7 +18,7 @@ from mockq.qseries import QSeries
 from mockq.registry import _CRANK_BATTERY, _JTP_BATTERY, _z_monomial, registry_catalog, verify
 from oracles import inv_full_grid, pochhammer_inf_chains, theta_Theta_chains
 
-_CAP = 24 * 100 + 120  # the JTP and CRANK records' cap on the catalog workload
+_CAP = 24 * 100 + 120  # the JTP and CRANK records' cap in the catalog digest
 
 
 def same(a, b):

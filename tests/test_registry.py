@@ -6,6 +6,7 @@ from mockq.qseries import QSeries
 from mockq.registry import (
     IdentityRecord,
     registry_catalog,
+    sides,
     verify,
     verify_all,
 )
@@ -59,6 +60,44 @@ def test_perturbation_flips_to_fail(monkeypatch):
     d = rep.to_json_dict()
     assert d["first_mismatch"]["exponent_num_24"] == 168
     del reg._catalog_map()["NEWOMEGA_BROKEN"]
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.7])
+def test_orders_below_one_or_fractional_are_refused(order):
+    with pytest.raises(ValueError):
+        verify("NEWOMEGA", order)
+    with pytest.raises(ValueError):
+        verify_all(order)
+    with pytest.raises(ValueError):
+        sides("NEWOMEGA", order)
+
+
+@pytest.mark.parametrize("rec", registry_catalog(), ids=lambda r: r.id)
+def test_every_builder_returns_the_cap_it_is_asked_for(rec):
+    # sides() builds at exactly 24*order + 1, with no margin and no retry
+    half = 24 * (rec.default_order // 2)
+    for cap in (1, 25, 97, 250, 24 * 5 + 1, half + 1, half + 120):
+        for pair in rec.builder(cap):
+            assert [s.cap for s in pair] == [cap, cap], (rec.id, cap)
+
+
+def test_verify_builds_once_at_the_order(monkeypatch):
+    import mockq.registry as reg
+
+    rec = reg._catalog_map()["NEWOMEGA"]
+    caps = []
+
+    def counted(cap):
+        caps.append(cap)
+        return rec.builder(cap)
+
+    monkeypatch.setitem(reg._catalog_map(), "NEWOMEGA_COUNTED",
+                        IdentityRecord("NEWOMEGA_COUNTED", "counted", counted, 25))
+    assert reg.verify("NEWOMEGA_COUNTED", 17).status == "pass"
+    assert caps == [24 * 17 + 1]
+    caps.clear()
+    assert reg.verify("NEWOMEGA_COUNTED").order == 25
+    assert caps == [24 * 25 + 1]
 
 
 def test_unknown_id_raises():
